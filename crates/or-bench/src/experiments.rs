@@ -756,19 +756,6 @@ pub fn hardware_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Worker threads for the parallel benchmark legs: the `OR_ENGINE_WORKERS`
-/// environment variable when set to a positive number (also settable as
-/// `experiments -- --workers N`), else [`hardware_workers`].  The override
-/// lets BENCH rows exercise the parallel executor even on machines (or CI
-/// runners) whose `available_parallelism` reports 1.
-pub fn configured_workers() -> usize {
-    std::env::var("OR_ENGINE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(hardware_workers)
-}
-
 /// Timed repetitions behind every reported benchmark number: each
 /// measurement is the median of this many runs after one discarded warmup.
 /// Deliberately **even**: the paired seq/par measurement (`timed_pair`)
@@ -996,7 +983,7 @@ fn measure_workload(name: &str, relation: &or_db::Relation, query: &M) -> Engine
 
     let available = hardware_workers();
     let seq = ExecConfig::default();
-    let par = ExecConfig::default().with_workers(configured_workers());
+    let par = ExecConfig::from_env();
     let plan = lower(query).expect("workload query is lowerable");
     let (interp, interp_ms) = timed(|| relation.query(query).expect("interpreter"));
     // the seq and par legs interleave: par_over_seq is the gated statistic,
@@ -1028,7 +1015,7 @@ fn measure_planned_workload(name: &str, relation: &or_db::Relation, query: &M) -
 
     let available = hardware_workers();
     let seq = ExecConfig::default();
-    let par = ExecConfig::default().with_workers(configured_workers());
+    let par = ExecConfig::from_env();
     let plan = lower(query).expect("workload query is lowerable");
     let (interp, interp_ms) = timed(|| relation.query(query).expect("interpreter"));
     let ((eng_seq, engine_seq_ms), ((eng_par, stats), engine_par_ms)) = timed_pair(
@@ -1103,7 +1090,7 @@ pub fn e13_engine_rows(scale: usize) -> Vec<EngineBenchRow> {
 
         let available = hardware_workers();
         let seq = ExecConfig::default();
-        let par = ExecConfig::default().with_workers(configured_workers());
+        let par = ExecConfig::from_env();
         let left_schema = or_db::Schema::new([
             or_db::Field::new("id", Type::Int),
             or_db::Field::new("grp", Type::Int),
@@ -1244,8 +1231,7 @@ pub fn e14_session_rows(scale: usize) -> Vec<EngineBenchRow> {
     use or_lang::ExecMode;
 
     let available = hardware_workers();
-    let par_workers = configured_workers();
-    let par = ExecConfig::default().with_workers(par_workers);
+    let par = ExecConfig::from_env();
     let mut interp = e14_session(ExecMode::Interp, ExecConfig::default(), scale);
     let mut engine_seq = e14_session(ExecMode::Engine, ExecConfig::default(), scale);
     let mut engine_par = e14_session(ExecMode::Engine, par, scale);
@@ -1279,7 +1265,7 @@ pub fn e14_session_rows(scale: usize) -> Vec<EngineBenchRow> {
         // sessions do not expose per-statement executor stats, so this is
         // the configured worker cap of the parallel legs, not a measured
         // per-query count as in the e13 rows
-        workers: par_workers,
+        workers: par.workers,
         available_parallelism: available,
         runs: TIMED_RUNS,
         equal,

@@ -17,7 +17,7 @@
 //! ## Morsel-driven parallelism
 //!
 //! A plan has one **driving scan** — the leaf reached by following
-//! `input`/`left` children.  The parallel executor does *not* hand each
+//! `input`/`left` children.  The executor does *not* hand each
 //! worker a fixed partition of that input.  Instead the input's row range
 //! goes into a shared [`MorselQueue`]: workers
 //! repeatedly claim **morsels** ([`ExecConfig::morsel_rows`] rows each)
@@ -38,7 +38,9 @@
 //! constants, join keys) mean the same object everywhere while lanes
 //! intern new rows without any synchronization.  A single lane skips the
 //! freeze and interns straight into the query arena — no concurrent
-//! mutation, no overlay, sequential-parity cost.
+//! mutation, no overlay.  A sequential run is exactly that: one lane
+//! claiming the whole driving range as one morsel, through the same lane
+//! loop and the same merge/decode tail as every other run.
 //!
 //! Each morsel's ids are sorted and deduped as they are produced, giving
 //! one run per morsel tagged with its driver offset; the final **multi-way
@@ -52,8 +54,8 @@
 //! on scoped threads for large results on three or more lanes.  Only the
 //! surviving merged rows are decoded — once per result row, from the
 //! overlay that owns them.  A lane that panics does not abort the
-//! process: the panic is caught at the join point and reported as
-//! [`EngineError::WorkerPanic`].
+//! process (or kill a serving thread): the panic is caught per lane, on
+//! every lane count, and reported as [`EngineError::WorkerPanic`].
 //!
 //! Small inputs stay sequential: below [`ExecConfig::min_parallel_rows`]
 //! driving rows the executor downgrades to one worker (thread spawn plus
@@ -296,8 +298,9 @@ pub struct ExecStats {
     pub workers: usize,
     /// Rows in the merged result.
     pub rows: usize,
-    /// Morsels claimed from the work-stealing queue (0 on the sequential
-    /// path, which bypasses the queue).
+    /// Morsels claimed from the work-stealing queue (1 on a sequential
+    /// run: one claim of the whole driving range; 0 when the driving input
+    /// is empty).
     pub morsels: u64,
     /// Morsels a worker claimed from a *sibling's* shard — non-zero only
     /// when the queue actually rebalanced a skewed run.
@@ -437,6 +440,15 @@ impl Executor {
     /// Run `plan` over [`EngineInputs`] (possibly pre-interned against a
     /// shared base arena) and report execution counters.  This is the
     /// primary entry point; the slice-based methods wrap it.
+    ///
+    /// Every run, whatever its worker count, goes through the same tail:
+    /// one lane loop per lane (claim a morsel, build its pipeline, drain,
+    /// sort and dedup its ids) and one merge/decode step over the lanes'
+    /// runs.  A sequential run is one lane claiming the whole driving
+    /// range as a single morsel.  The only fork is arena ownership: one
+    /// lane interns into the query arena, several lanes into private
+    /// overlays on the frozen query arena.  A panicking pipeline becomes
+    /// [`EngineError::WorkerPanic`] on every lane count.
     pub fn run_inputs(
         &self,
         plan: &PhysicalPlan,
@@ -550,28 +562,6 @@ impl Executor {
             counters: &counters,
         };
 
-        if workers <= 1 {
-            let mut op = build(&compiled, ctx, None)?;
-            let mut ids = drain_within(op.as_mut(), &mut arena, deadline.as_ref())?;
-            // Merge step: the result is a set; sort + dedup on ids (equal
-            // rows ⟺ equal ids), then decode each survivor exactly once.
-            arena.sort_ids(&mut ids);
-            ids.dedup();
-            let rows: Vec<Value> = ids.iter().map(|&id| arena.decode(id)).collect();
-            let (columnar_batches, scalar_fallback_batches) = counters.snapshot();
-            let stats = ExecStats {
-                workers: 1,
-                rows: rows.len(),
-                morsels: 0,
-                steals: 0,
-                value_decodes: arena.decode_count(),
-                arena_nodes: arena.len(),
-                columnar_batches,
-                scalar_fallback_batches,
-            };
-            return Ok((rows, stats));
-        }
-
         // Never oversubscribe the machine: `workers` is the *logical*
         // morsel-consumer count (the queue's shard/steal topology, reported
         // in `ExecStats`); per-thread state — the overlay arena and the
@@ -594,7 +584,8 @@ impl Executor {
         // to a whole shard — same shard/steal topology (and the same
         // `ExecStats` claim accounting per shard), far fewer per-morsel
         // pipeline rebuilds, and sorted runs big enough that the disjoint
-        // concat tail dominates.
+        // concat tail dominates.  A sequential run (one worker) is thus a
+        // single claim of the whole driving range.
         // Morsel claims hand out whole id-blocks: when a morsel holds at
         // least one batch, its size is truncated to a multiple of the
         // batch size, so every claimed range decomposes into full columnar
@@ -611,176 +602,85 @@ impl Executor {
         };
         let queue = MorselQueue::new(driver_rows.len(), workers, morsel_rows);
 
-        if lanes == 1 {
-            // Single lane ⇒ no concurrent arena mutation, so skip the
-            // freeze: the morsel loop interns straight into the query
-            // arena, paying exactly the sequential path's probe depth —
-            // the morsel/steal accounting and the per-morsel pipelines
-            // stay identical to the multi-lane path.
-            let shared_len = arena.len();
-            let compiled_ref = &compiled;
-            let queue_ref = &queue;
-            let arena_ref = &mut arena;
-            let driver_ref = &driver_rows;
-            let lane = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                move || -> Result<WorkerOutput, EngineError> {
-                    let mut runs: Vec<(usize, Vec<InternId>)> = Vec::new();
-                    let mut morsels = 0u64;
-                    let mut steals = 0u64;
-                    let mut lead = true;
-                    while let Some(morsel) = queue_ref.claim(0) {
-                        morsels += 1;
-                        steals += u64::from(morsel.shard != 0);
-                        let ctx = BuildCtx {
-                            lead_worker: std::mem::take(&mut lead),
-                            ..ctx
-                        };
-                        let start = morsel.rows.start;
-                        let mut op = build(compiled_ref, ctx, Some(&driver_ref[morsel.rows]))?;
-                        let mut ids = drain_within(op.as_mut(), arena_ref, deadline.as_ref())?;
-                        arena_ref.sort_ids(&mut ids);
-                        ids.dedup();
-                        runs.push((start, ids));
-                    }
-                    Ok(WorkerOutput {
-                        overlay: Interner::new(),
-                        runs,
-                        morsels,
-                        steals,
-                    })
-                },
-            ))
-            .unwrap_or_else(|payload| Err(panic_error(payload)))?;
-            let WorkerOutput {
-                mut runs,
-                morsels,
-                steals,
-                ..
-            } = lane;
-            // One lane ⇒ every id lives in the one query arena.  When the
-            // offset-ordered runs are pairwise disjoint (the common case:
-            // row-local pipelines preserve the driving order), the result
-            // is their concatenation — decode straight from the arena like
-            // the sequential tail, skipping the (lane, id) tagging and the
-            // merge copy entirely.
-            runs.retain(|(_, r)| !r.is_empty());
-            runs.sort_unstable_by_key(|&(start, _)| start);
-            let disjoint = runs.windows(2).all(|pair| {
-                let last = *pair[0].1.last().expect("empty runs filtered out");
-                arena.cmp(last, pair[1].1[0]) == std::cmp::Ordering::Less
-            });
-            if disjoint {
-                let total: usize = runs.iter().map(|(_, r)| r.len()).sum();
-                let mut rows: Vec<Value> = Vec::with_capacity(total);
-                for (_, run) in &runs {
-                    rows.extend(run.iter().map(|&id| arena.decode(id)));
-                }
-                let (columnar_batches, scalar_fallback_batches) = counters.snapshot();
-                let stats = ExecStats {
-                    workers,
-                    rows: rows.len(),
-                    morsels,
-                    steals,
-                    value_decodes: arena.decode_count(),
-                    arena_nodes: arena.len(),
-                    columnar_batches,
-                    scalar_fallback_batches,
-                };
-                return Ok((rows, stats));
-            }
-            let outputs = vec![WorkerOutput {
-                overlay: arena,
-                runs,
-                morsels,
-                steals,
-            }];
-            return Ok(finish_parallel(
-                outputs,
-                shared_len,
-                1,
-                workers,
-                0,
-                0,
-                counters.snapshot(),
-            ));
-        }
-
-        // Freeze the query arena; lanes overlay it privately.  The
-        // driving rows go into a shared morsel queue — workers claim
-        // morsel-sized row ranges from their own shard and steal from the
-        // fullest sibling shard once theirs is drained.
-        let base = Arc::new(arena);
-        let shared_len = base.len();
-        // whichever worker builds the first pipeline streams union right
+        // whichever lane builds the first pipeline streams union right
         // sides (they are independent of the driving rows, so exactly one
         // pipeline instance of the whole query must emit them)
         let lead_unclaimed = AtomicBool::new(true);
-        let compiled_ref = &compiled;
-        let base_ref = &base;
-        let queue_ref = &queue;
-        let lead_ref = &lead_unclaimed;
-        let results = run_workers(lanes, |lane| {
-            let mut overlay = Interner::with_base(Arc::clone(base_ref));
+        // The lane loop: claim a morsel (own shard first, then steals), run
+        // it through a pipeline rebuilt from the shared compiled plan, and
+        // keep one sorted deduplicated id run per morsel, interned into
+        // `arena`.
+        let lane_loop = |lane: usize, mut arena: Interner| -> Result<WorkerOutput, EngineError> {
             let mut runs: Vec<(usize, Vec<InternId>)> = Vec::new();
             let mut morsels = 0u64;
             let mut steals = 0u64;
-            while let Some(morsel) = queue_ref.claim(lane) {
-                morsels += 1;
-                steals += u64::from(morsel.shard != lane);
+            loop {
+                let (start, rows) = match queue.claim(lane) {
+                    Some(morsel) => {
+                        morsels += 1;
+                        steals += u64::from(morsel.shard != lane);
+                        (morsel.rows.start, &driver_rows[morsel.rows])
+                    }
+                    // An empty driving input has no morsel to claim, yet
+                    // its union right sides must still be emitted once:
+                    // the lane that finds the lead unclaimed runs one
+                    // pipeline over no driving rows.
+                    None if lead_unclaimed.load(Ordering::Relaxed) => {
+                        (driver_rows.len(), &driver_rows[..0])
+                    }
+                    None => break,
+                };
                 let ctx = BuildCtx {
-                    lead_worker: lead_ref.swap(false, Ordering::Relaxed),
+                    lead_worker: lead_unclaimed.swap(false, Ordering::Relaxed),
                     ..ctx
                 };
-                let start = morsel.rows.start;
-                let mut op = build(compiled_ref, ctx, Some(&driver_rows[morsel.rows]))?;
-                let mut ids = drain_within(op.as_mut(), &mut overlay, deadline.as_ref())?;
-                // sort/dedup per *morsel*, not per worker: a morsel's output
+                let mut op = build(&compiled, ctx, Some(rows))?;
+                let mut ids = drain_within(op.as_mut(), &mut arena, deadline.as_ref())?;
+                // sort/dedup per *morsel*, not per lane: a morsel's output
                 // usually arrives already ordered (row-local operators
                 // preserve the driving order), so the sort's O(n) pre-check
-                // passes — whereas a stolen morsel appended to a worker-wide
+                // passes — whereas a stolen morsel appended to a lane-wide
                 // run would force a full structural re-sort of the run
-                overlay.sort_ids(&mut ids);
+                arena.sort_ids(&mut ids);
                 ids.dedup();
                 runs.push((start, ids));
             }
             Ok(WorkerOutput {
-                overlay,
+                overlay: arena,
                 runs,
                 morsels,
                 steals,
             })
-        });
-        let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(lanes);
-        for result in results {
-            outputs.push(result?);
-        }
-        // decodes performed while compiling against the query arena (e.g. a
-        // broadcast-side AttachEnv setup) happened before the freeze and
-        // belong in the sum alongside the per-lane overlay counts
-        Ok(finish_parallel(
+        };
+
+        // The only fork is arena ownership.  One lane means no concurrent
+        // mutation, so it skips the freeze and interns straight into the
+        // query arena.  Several lanes freeze the query arena into an `Arc`
+        // base and each chains a private overlay on top.
+        let shared_len = arena.len();
+        let (outputs, base) = if lanes == 1 {
+            (vec![catch_panic(|| lane_loop(0, arena))?], None)
+        } else {
+            let base = Arc::new(arena);
+            let outputs = run_workers(lanes, |lane| {
+                lane_loop(lane, Interner::with_base(Arc::clone(&base)))
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+            (outputs, Some(base))
+        };
+        Ok(finish(
             outputs,
+            base.as_deref(),
             shared_len,
-            lanes,
             workers,
-            base.decode_count(),
-            base.len(),
             counters.snapshot(),
         ))
     }
 
-    /// Run over [`EngineInputs`] and package the rows as a set value.
-    pub fn run_inputs_to_value(
-        &self,
-        plan: &PhysicalPlan,
-        inputs: &EngineInputs<'_>,
-    ) -> Result<Value, EngineError> {
-        let (rows, _) = self.run_inputs(plan, inputs)?;
-        Ok(canonical_set(rows))
-    }
-
-    /// [`Executor::run_inputs_to_value`] that also reports execution
-    /// counters — what a serving layer needs to aggregate columnar/scalar
-    /// batch statistics across statements.
+    /// Run over [`EngineInputs`], package the rows as a set value, and
+    /// report execution counters — what a serving layer needs to aggregate
+    /// columnar/scalar batch statistics across statements.
     pub fn run_inputs_to_value_with_stats(
         &self,
         plan: &PhysicalPlan,
@@ -817,20 +717,18 @@ fn hardware_lanes() -> usize {
     })
 }
 
-/// Merge the per-lane outputs and decode the survivors — the tail every
-/// morsel-driven run (single- or multi-lane) shares.  The multi-way
-/// id-merge runs over the lane outputs' runs; each surviving id is decoded
-/// exactly once, from the arena that owns it.  `base_decodes`/`base_nodes`
-/// fold in the frozen base's counters on the multi-lane path (the
-/// single-lane path has no separate base: its one output arena already
-/// carries the whole chain).
-fn finish_parallel(
+/// Merge the per-lane outputs and decode the survivors — the one tail
+/// every run shares, whatever its lane count.  The multi-way id-merge runs
+/// over the lane outputs' runs; each surviving id is decoded exactly once,
+/// from the arena that owns it.  `base` is the frozen query arena the
+/// lanes overlaid when several ran (its counters fold into the stats); a
+/// single lane interned into the query arena itself, so its one output
+/// arena already carries the whole chain and `base` is `None`.
+fn finish(
     outputs: Vec<WorkerOutput>,
+    base: Option<&Interner>,
     shared_len: usize,
-    lanes: usize,
     workers: usize,
-    base_decodes: u64,
-    base_nodes: usize,
     (columnar_batches, scalar_fallback_batches): (u64, u64),
 ) -> (Vec<Value>, ExecStats) {
     let morsels: u64 = outputs.iter().map(|o| o.morsels).sum();
@@ -841,20 +739,24 @@ fn finish_parallel(
     // same numeric id for different objects), compared across overlays
     // via the shared base.  Only the survivors are decoded — once per
     // result row, from the overlay that owns them.
-    let merged = merge_worker_runs(&outputs, shared_len, lanes);
+    let merged = merge_worker_runs(&outputs, shared_len, outputs.len());
     let mut overlays: Vec<Interner> = outputs.into_iter().map(|o| o.overlay).collect();
     let rows: Vec<Value> = merged
         .iter()
         .map(|&(w, id)| overlays[w as usize].decode(id))
         .collect();
 
-    let value_decodes = base_decodes + overlays.iter().map(Interner::decode_count).sum::<u64>();
+    // decodes performed while compiling against the query arena (e.g. a
+    // broadcast-side AttachEnv setup) happened before the freeze and
+    // belong in the sum alongside the per-lane overlay counts
+    let value_decodes = base.map_or(0, Interner::decode_count)
+        + overlays.iter().map(Interner::decode_count).sum::<u64>();
     let arena_nodes = overlays
         .iter()
         .map(Interner::len)
         .max()
         .unwrap_or(0)
-        .max(base_nodes);
+        .max(base.map_or(0, Interner::len));
     let stats = ExecStats {
         workers,
         rows: rows.len(),
@@ -1069,10 +971,7 @@ fn run_workers<T: Send>(
 ) -> Vec<Result<T, EngineError>> {
     let lanes = lanes.max(1);
     let worker = &worker;
-    let run_one = move |lane: usize| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(lane)))
-            .unwrap_or_else(|payload| Err(panic_error(payload)))
-    };
+    let run_one = move |lane: usize| catch_panic(|| worker(lane));
     thread::scope(|scope| {
         let handles: Vec<_> = (1..lanes)
             .map(|lane| scope.spawn(move || run_one(lane)))
@@ -1086,6 +985,14 @@ fn run_workers<T: Send>(
             )
             .collect()
     })
+}
+
+/// Run one lane under `catch_unwind`, converting a panic into
+/// `Err(EngineError::WorkerPanic)` — a panicking pipeline fails its query,
+/// never the thread that ran it.
+fn catch_panic<T>(lane: impl FnOnce() -> Result<T, EngineError>) -> Result<T, EngineError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(lane))
+        .unwrap_or_else(|payload| Err(panic_error(payload)))
 }
 
 fn panic_error(payload: Box<dyn std::any::Any + Send>) -> EngineError {
@@ -1298,6 +1205,19 @@ mod tests {
             ExecConfig::sequential().with_time_budget(std::time::Duration::from_secs(60)),
         );
         assert_eq!(exec.run(&plan, &[&rows]).unwrap().len(), 16);
+    }
+
+    /// An empty driving input yields no morsel, but a union's right side
+    /// does not depend on the driving rows and must still be emitted.
+    #[test]
+    fn union_over_an_empty_driver_still_emits_its_right_side() {
+        let empty: Vec<Value> = Vec::new();
+        let right: Vec<Value> = (0..5).map(Value::Int).collect();
+        let plan = PhysicalPlan::scan(0).union_with(PhysicalPlan::scan(1));
+        let exec = Executor::new(ExecConfig::default());
+        let (rows, stats) = exec.run_with_stats(&plan, &[&empty, &right]).unwrap();
+        assert_eq!(rows, right);
+        assert_eq!(stats.morsels, 0, "no driving rows, nothing to claim");
     }
 
     #[test]

@@ -73,8 +73,7 @@ pub fn run_plan(
     relations: &[&Relation],
     config: ExecConfig,
 ) -> Result<Value, EngineError> {
-    verify_against_relations(plan, relations, &config, false)?;
-    Executor::new(config).run_inputs_to_value(plan, &relation_inputs(relations))
+    run_plan_with_stats(plan, relations, config).map(|(value, _)| value)
 }
 
 /// Run a physical plan over relations and report execution counters.

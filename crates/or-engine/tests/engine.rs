@@ -68,7 +68,10 @@ fn small_inputs_fall_back_to_sequential_unless_pinned() {
     let exec = Executor::new(ExecConfig::default().with_workers(8));
     let (_, stats) = exec.run_with_stats(&plan, &[&rows]).unwrap();
     assert_eq!(stats.workers, 1, "below the cost threshold runs sequential");
-    assert_eq!(stats.morsels, 0, "the sequential path bypasses the queue");
+    assert_eq!(
+        stats.morsels, 1,
+        "a sequential run is one whole-range claim"
+    );
     // lowering the threshold re-enables parallelism for the same input
     let exec = Executor::new(
         ExecConfig::default()

@@ -649,10 +649,8 @@ impl SessionCore {
     /// The plan [`SessionCore::eval_statement`] would hand the engine for
     /// `source`, without executing anything — `None` when the statement is
     /// outside the plannable fragment (the interpreter would serve it).
-    /// Mirrors [`try_engine`](SessionCore::eval_statement)'s two routes:
-    /// the direct multi-input planner, then single-binding morphism
-    /// compilation + lowering.  This is the entry point `or-analyze
-    /// verify-plans` uses to check whole scripts statement by statement.
+    /// It calls the serving planner itself, so the plans `or-analyze
+    /// verify-plans` checks statement by statement are the served ones.
     pub fn plan_statement(&self, source: &str) -> Result<Option<PlannedStatement>, SessionError> {
         let statement = parse_statement(source)?;
         let expr = match statement {
@@ -660,37 +658,10 @@ impl SessionCore {
             Statement::Bind(_, expr) => expr,
         };
         infer_type(&expr, &self.type_env())?;
-        if matches!(expr, crate::ast::Expr::Var(_)) {
-            return Ok(None); // bare binding echo: environment lookup
-        }
-        if let Ok(pq) = plan_query(&expr) {
-            if !pq.inputs.iter().all(|n| self.snapshot.get(n).is_some()) {
-                return Ok(None); // some input is not a published relation
-            }
-            let row_types = pq.inputs.iter().map(|n| self.row_type_of(n)).collect();
-            return Ok(Some(PlannedStatement {
-                plan: pq.plan,
-                inputs: pq.inputs,
-                row_types,
-            }));
-        }
-        let free = expr.free_vars();
-        let [var] = free.as_slice() else {
-            return Ok(None);
-        };
-        if self.snapshot.get(var).is_none() {
-            return Ok(None);
-        }
-        let Ok(morphism) = compile_query(&expr, var) else {
-            return Ok(None);
-        };
-        let Ok(plan) = or_nra::optimize::lower(&morphism) else {
-            return Ok(None);
-        };
-        Ok(Some(PlannedStatement {
-            row_types: vec![self.row_type_of(var)],
-            inputs: vec![var.clone()],
-            plan,
+        Ok(self.plan(&expr).ok().map(|cached| PlannedStatement {
+            plan: cached.plan,
+            inputs: cached.inputs,
+            row_types: cached.row_types,
         }))
     }
 
@@ -764,6 +735,29 @@ impl SessionCore {
         expr: &crate::ast::Expr,
         config: ExecConfig,
     ) -> Result<Result<(Value, Route), PlanError>, SessionError> {
+        // The statement-shape cache: a statement whose normalized
+        // expression was planned before — against inputs that still carry
+        // the same row types — skips planning, lowering and (same-budget)
+        // verification entirely.
+        let shape = format!("{expr:?}");
+        if let Some(cached) = self.plans.get(&shape) {
+            if self.cached_plan_current(&cached) {
+                return self.run_plan(&shape, cached, config, true).map(Ok);
+            }
+            self.plans.remove(&shape);
+        }
+        match self.plan(expr) {
+            Ok(cached) => self.run_plan(&shape, cached, config, false).map(Ok),
+            Err(fallback) => Ok(Err(fallback)),
+        }
+    }
+
+    /// The session's one engine planner, shared by serving
+    /// ([`try_engine`](SessionCore::eval_statement)) and static checking
+    /// ([`SessionCore::plan_statement`]).  `Err(fallback)` means the
+    /// statement is outside the engine's fragment; its `noteworthy` flag
+    /// says whether the reason is worth recording.
+    fn plan(&self, expr: &crate::ast::Expr) -> Result<CachedPlan, PlanError> {
         let noteworthy = |reason: String| PlanError {
             reason,
             noteworthy: true,
@@ -772,21 +766,10 @@ impl SessionCore {
         // the engine would clone the whole relation through a scan, re-sort
         // an already-canonical set, and count the echo as "engine-served".
         if matches!(expr, crate::ast::Expr::Var(_)) {
-            return Ok(Err(PlanError {
+            return Err(PlanError {
                 reason: "bare binding reference (environment lookup)".to_string(),
                 noteworthy: false,
-            }));
-        }
-        // 0. The statement-shape cache: a statement whose normalized
-        //    expression was planned before — against inputs that still
-        //    carry the same row types — skips planning, lowering and
-        //    (same-budget) verification entirely.
-        let shape = format!("{expr:?}");
-        if let Some(cached) = self.plans.get(&shape) {
-            if self.cached_plan_current(&cached) {
-                return self.run_plan(&shape, cached, config, true).map(Ok);
-            }
-            self.plans.remove(&shape);
+            });
         }
         // 1. The direct route: comprehensions / union / flatten over one or
         //    several set-valued bindings become a multi-input plan.  Every
@@ -796,24 +779,21 @@ impl SessionCore {
         let plan_fallback = match plan_query(expr) {
             Ok(pq) => {
                 for name in &pq.inputs {
-                    match self.snapshot.get(name) {
-                        Some(_) => {}
-                        None if self.values.contains_key(name) => {
-                            return Ok(Err(noteworthy(format!(
-                                "binding `{name}` is not a set relation"
-                            ))))
-                        }
-                        None => return Ok(Err(noteworthy(format!("unbound relation `{name}`")))),
+                    if self.snapshot.get(name).is_none() {
+                        return Err(noteworthy(if self.values.contains_key(name) {
+                            format!("binding `{name}` is not a set relation")
+                        } else {
+                            format!("unbound relation `{name}`")
+                        }));
                     }
                 }
                 let row_types = pq.inputs.iter().map(|n| self.row_type_of(n)).collect();
-                let cached = CachedPlan {
+                return Ok(CachedPlan {
                     plan: pq.plan,
                     inputs: pq.inputs,
                     row_types,
                     verified_under: None,
-                };
-                return self.run_plan(&shape, cached, config, false).map(Ok);
+                });
             }
             Err(e) => e,
         };
@@ -823,29 +803,20 @@ impl SessionCore {
         //    scaffolding).
         let free = expr.free_vars();
         let [var] = free.as_slice() else {
-            return Ok(Err(plan_fallback));
+            return Err(plan_fallback);
         };
         if self.snapshot.get(var).is_none() {
-            return Ok(Err(noteworthy(format!(
-                "binding `{var}` is not a set relation"
-            ))));
+            return Err(noteworthy(format!("binding `{var}` is not a set relation")));
         }
-        let morphism = match compile_query(expr, var) {
-            Ok(m) => m,
-            Err(e) => return Ok(Err(noteworthy(e.to_string()))),
-        };
-        let plan = match or_nra::optimize::lower(&morphism) {
-            Ok(plan) => plan,
-            // keep the lowering's own description of what stopped it
-            Err(e) => return Ok(Err(noteworthy(e.to_string()))),
-        };
-        let cached = CachedPlan {
+        let morphism = compile_query(expr, var).map_err(|e| noteworthy(e.to_string()))?;
+        // keep the lowering's own description of what stopped it
+        let plan = or_nra::optimize::lower(&morphism).map_err(|e| noteworthy(e.to_string()))?;
+        Ok(CachedPlan {
             row_types: vec![self.row_type_of(var)],
             inputs: vec![var.clone()],
             plan,
             verified_under: None,
-        };
-        self.run_plan(&shape, cached, config, false).map(Ok)
+        })
     }
 }
 

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use or_db::{Field, Relation, Schema};
 use or_engine::{run_plan, run_plan_optimized, EngineError, ExecConfig};
-use or_lang::{ExecMode, QueryBudget, SessionCore};
+use or_lang::{ExecMode, QueryBudget, Route, SessionCore};
 use or_nra::morphism::{Morphism as M, Prim};
 use or_nra::optimize::lower;
 use or_nra::physical::PhysicalPlan;
@@ -111,6 +111,7 @@ proptest! {
             let stmt = &pool[pick % pool.len()];
             let planned = core.plan_statement(stmt);
             prop_assert!(planned.is_ok(), "`{}` failed to plan: {:?}", stmt, planned.err());
+            let plannable = matches!(planned, Ok(Some(_)));
             if let Ok(Some(planned)) = planned {
                 let config = VerifyConfig {
                     provided_inputs: Some(planned.inputs.len()),
@@ -131,7 +132,17 @@ proptest! {
                 QueryBudget::unlimited(),
             );
             prop_assert!(evaluated.is_ok(), "`{}` failed: {:?}", stmt, evaluated.err());
-            core.commit(evaluated.expect("checked above"));
+            let evaluated = evaluated.expect("checked above");
+            // verify-plans checks the served route: a statement has a plan
+            // exactly when the engine serves it
+            prop_assert_eq!(
+                plannable,
+                matches!(evaluated.route, Route::Engine { .. }),
+                "`{}`: plan_statement and the served route disagree ({:?})",
+                stmt,
+                evaluated.route
+            );
+            core.commit(evaluated);
         }
     }
 
