@@ -4,7 +4,7 @@
 //! binary and delegated to by the test suite:
 //!
 //! * [`plans`] — **plan verification**: compile every statement the
-//!   repository ships (`examples/*.orql`, the e13–e15 bench workloads)
+//!   repository ships (`examples/*.orql`, the engine-bench workload table)
 //!   into the physical plans the engine would execute and check each
 //!   against the typed rule catalog in [`or_nra::verify`] (arity, operator
 //!   typing, Theorem 5.1 α-expansion placement, budget admission) under a

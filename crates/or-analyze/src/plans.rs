@@ -1,10 +1,11 @@
 //! The `verify-plans` pass: compile every statement the repository ships —
-//! the `examples/*.orql` scripts and the e13–e15 bench workloads — into the
-//! physical plans the engine would execute, and run each through the
+//! the `examples/*.orql` scripts and the engine-bench workload table
+//! ([`or_bench::experiments::ENGINE_WORKLOADS`]) — into the physical plans
+//! the engine would execute, and run each through the
 //! [`or_nra::verify`] rule catalog **under a serving configuration**
 //! (`require_budgets` on, a finite default denotation budget), without
 //! executing anything heavier than the tiny script replays needed to
-//! advance session state.
+//! advance session state and the bench workloads' setup at 32 rows.
 //!
 //! A statement outside the plannable fragment (the interpreter would serve
 //! it) is counted as a fallback, not a failure: the pass checks the plans
@@ -13,13 +14,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use or_bench::experiments::{
-    alternatives_relation, e13_expand_query, e13_planned_query, e13_scan_query, e14_bindings,
-    fanout_relation, priced_relation, E14_SCRIPT,
-};
-use or_db::Relation;
+use or_bench::experiments::{BenchPlans, ENGINE_WORKLOADS};
 use or_lang::{ExecMode, QueryBudget, SessionCore};
-use or_nra::optimize::{lower, optimize_expansion, ExpandPlannerConfig};
+use or_nra::optimize::{optimize_expansion, ExpandPlannerConfig};
 use or_nra::physical::PhysicalPlan;
 use or_nra::verify::{verify_plan, Severity, VerifyConfig, Violation};
 use or_object::Type;
@@ -144,8 +141,8 @@ fn verify_script(report: &mut PlansReport, context: &str, source: &str) -> Resul
 }
 
 /// Verify a session-script workload given as statements over pre-bound
-/// relations (the e14/e15 shape): plan and check each statement, no
-/// execution at all.
+/// relations (the e14 shape): plan and check each statement, no execution
+/// at all.
 fn verify_session_statements(
     report: &mut PlansReport,
     context: &str,
@@ -168,41 +165,27 @@ fn verify_session_statements(
     Ok(())
 }
 
-/// Verify one e13 `relation × morphism` workload: the lowered plan, and —
-/// when the expand planner applies — the optimized plan it would actually
-/// execute (where a bad push below `OrExpand` would surface).
-fn verify_e13_workload(
+/// Verify one bench plan over inputs of `row_types`, and — when the
+/// expand planner rewrites it — the planned plan too (where a bad push
+/// below `OrExpand` would surface).
+fn verify_bench_plan(
     report: &mut PlansReport,
     context: &str,
-    relation: &Relation,
-    query: &or_nra::Morphism,
-    optimize: bool,
-) -> Result<(), String> {
-    let plan = lower(query).map_err(|e| format!("{context}: {e}"))?;
-    let row_type = relation.schema().record_type();
-    check_plan(
-        report,
-        context,
-        &query.to_string(),
-        &plan,
-        vec![Some(row_type.clone())],
-    );
-    if optimize {
-        let inputs = [relation.records()];
-        let planner_config = ExpandPlannerConfig {
-            row_types: vec![row_type.clone()],
-            ..ExpandPlannerConfig::default()
-        };
-        let (optimized, _report) = optimize_expansion(&plan, &inputs, &planner_config);
-        check_plan(
-            report,
-            &format!("{context} (optimized)"),
-            &query.to_string(),
-            &optimized,
-            vec![Some(row_type)],
-        );
+    query: &str,
+    plan: &PhysicalPlan,
+    row_types: Vec<Type>,
+) {
+    let slots = || row_types.iter().cloned().map(Some).collect();
+    check_plan(report, context, query, plan, slots());
+    let planner_config = ExpandPlannerConfig {
+        row_types: row_types.clone(),
+        ..ExpandPlannerConfig::default()
+    };
+    let (optimized, _report) = optimize_expansion(plan, &[], &planner_config);
+    if optimized != *plan {
+        let context = format!("{context} (optimized)");
+        check_plan(report, &context, query, &optimized, slots());
     }
-    Ok(())
 }
 
 /// Run the whole pass over the repository at `root`.
@@ -237,42 +220,23 @@ pub fn verify_repo_plans(root: &Path) -> Result<PlansReport, String> {
         verify_script(&mut report, &context, &source)?;
     }
 
-    // 2. The e13 engine workloads: scan/filter/project over priced rows,
-    //    α-expansion over or-set rows, and the planned expand-then-filter
-    //    pipeline (verified both as lowered and as the expand planner
-    //    rewrites it).
-    let priced = priced_relation(WORKLOAD_ROWS);
-    let alternatives = alternatives_relation(WORKLOAD_ROWS);
-    let fanout = fanout_relation(WORKLOAD_ROWS);
-    verify_e13_workload(
-        &mut report,
-        "e13 scan/priced",
-        &priced,
-        &e13_scan_query(),
-        false,
-    )?;
-    for (name, relation) in [("alternatives", &alternatives), ("fanout", &fanout)] {
-        verify_e13_workload(
-            &mut report,
-            &format!("e13 expand/{name}"),
-            relation,
-            &e13_expand_query(),
-            true,
-        )?;
-        verify_e13_workload(
-            &mut report,
-            &format!("e13 planned/{name}"),
-            relation,
-            &e13_planned_query(10),
-            true,
-        )?;
+    // 2. The engine-bench workloads, at a small scale: plan shape does not
+    //    depend on the row count.
+    for workload in ENGINE_WORKLOADS {
+        let context = format!("bench {}", workload.name);
+        match (workload.setup)(WORKLOAD_ROWS).plans {
+            Some(BenchPlans::Plan {
+                query,
+                plan,
+                row_types,
+            }) => verify_bench_plan(&mut report, &context, &query, &plan, row_types),
+            Some(BenchPlans::Statements {
+                bindings,
+                statements,
+            }) => verify_session_statements(&mut report, &context, &bindings, statements)?,
+            None => {}
+        }
     }
-
-    // 3. The e14/e15 session script over its bindings (e15 replays the
-    //    same statements read-only, so one pass covers both).
-    let bindings = e14_bindings(WORKLOAD_ROWS);
-    let bindings: Vec<(&str, or_object::Value)> = bindings.into_iter().collect();
-    verify_session_statements(&mut report, "e14/e15 session script", &bindings, E14_SCRIPT)?;
 
     Ok(report)
 }
@@ -292,7 +256,7 @@ mod tests {
     #[test]
     fn shipped_scripts_and_workloads_verify_clean() {
         let report = verify_repo_plans(&repo_root()).expect("pass runs");
-        // every examples/ script and the e13–e15 workloads produce plans…
+        // every examples/ script and the bench workloads produce plans…
         assert!(
             report.checks.len() >= 10,
             "expected a substantial plan set, got {}",

@@ -1,18 +1,16 @@
 //! E13: the streaming parallel physical engine (`or-engine`) against the
-//! tree-walking interpreter, on the partitioned-scan and per-row
-//! α-expansion workloads.  This is the headline perf artifact of the engine
-//! PR: the same or-NRA⁺ query, lowered once, executed three ways.
+//! tree-walking interpreter.  Registers the legs of every e13 entry of the
+//! engine-bench workload table as `workload/leg` — the same workloads and
+//! legs the `experiments` binary measures into `BENCH_engine.json`, at a
+//! small scale.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
-use or_bench::experiments::{
-    alternatives_relation, e13_expand_query, e13_planned_query, e13_scan_query, fanout_relation,
-    priced_relation,
-};
-use or_engine::{run_plan, run_plan_optimized, ExecConfig};
-use or_nra::optimize::lower;
-use or_nra::prelude::eval;
+use or_bench::experiments::{Experiment, Prepared, ENGINE_WORKLOADS, LEGS};
+
+/// Driving-relation scale (the expansion workloads take a fraction of it).
+const SCALE: usize = 2_000;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e13_engine_vs_interp");
@@ -21,69 +19,15 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_millis(500));
 
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let seq = ExecConfig::default();
-    let par = ExecConfig::default().with_workers(workers);
-
-    // -- partitioned scan: filter + project over (id, cost) records --------
-    let scan_query = e13_scan_query();
-    let scan_plan = lower(&scan_query).expect("scan query is lowerable");
-    for rows in [2_000usize, 10_000] {
-        let relation = priced_relation(rows);
-        let value = relation.to_value();
-        group.bench_with_input(BenchmarkId::new("scan/interp", rows), &rows, |b, _| {
-            b.iter(|| eval(&scan_query, &value).expect("interpreter"))
-        });
-        group.bench_with_input(BenchmarkId::new("scan/engine_seq", rows), &rows, |b, _| {
-            b.iter(|| run_plan(&scan_plan, &[&relation], seq).expect("engine"))
-        });
-        group.bench_with_input(BenchmarkId::new("scan/engine_par", rows), &rows, |b, _| {
-            b.iter(|| run_plan(&scan_plan, &[&relation], par).expect("engine"))
-        });
+    for workload in ENGINE_WORKLOADS
+        .iter()
+        .filter(|w| w.experiment == Experiment::E13)
+    {
+        let Prepared { legs, .. } = (workload.setup)(SCALE);
+        for (name, mut leg) in LEGS.into_iter().zip(legs) {
+            group.bench_function(format!("{}/{name}", workload.name), |b| b.iter(&mut leg));
+        }
     }
-
-    // -- per-row α-expansion ------------------------------------------------
-    let expand_query = e13_expand_query();
-    let expand_plan = lower(&expand_query).expect("expand query is lowerable");
-    let relation = alternatives_relation(500);
-    let value = relation.to_value();
-    group.bench_function("expand/interp", |b| {
-        b.iter(|| eval(&expand_query, &value).expect("interpreter"))
-    });
-    group.bench_function("expand/engine_seq", |b| {
-        b.iter(|| run_plan(&expand_plan, &[&relation], seq).expect("engine"))
-    });
-    group.bench_function("expand/engine_par", |b| {
-        b.iter(|| run_plan(&expand_plan, &[&relation], par).expect("engine"))
-    });
-
-    // -- high-fanout α-expansion (32 worlds per row) ------------------------
-    let fanout = fanout_relation(200);
-    let fanout_value = fanout.to_value();
-    group.bench_function("expand_fanout8/interp", |b| {
-        b.iter(|| eval(&expand_query, &fanout_value).expect("interpreter"))
-    });
-    group.bench_function("expand_fanout8/engine_seq", |b| {
-        b.iter(|| run_plan(&expand_plan, &[&fanout], seq).expect("engine"))
-    });
-    group.bench_function("expand_fanout8/engine_par", |b| {
-        b.iter(|| run_plan(&expand_plan, &[&fanout], par).expect("engine"))
-    });
-
-    // -- expand-then-filter, with and without the expand planner ------------
-    let planned_query = e13_planned_query(50);
-    let planned_plan = lower(&planned_query).expect("planned query is lowerable");
-    group.bench_function("expand_planned/interp", |b| {
-        b.iter(|| eval(&planned_query, &fanout_value).expect("interpreter"))
-    });
-    group.bench_function("expand_planned/engine_unplanned", |b| {
-        b.iter(|| run_plan(&planned_plan, &[&fanout], seq).expect("engine"))
-    });
-    group.bench_function("expand_planned/engine_planned", |b| {
-        b.iter(|| run_plan_optimized(&planned_plan, &[&fanout], par).expect("engine"))
-    });
 
     group.finish();
 }

@@ -1,16 +1,21 @@
-//! E14: an OrQL session script replayed under the session's three execution
-//! modes — the tree-walking interpreter, the engine-first mode (the engine
-//! serves every plannable statement), and the engine-checked differential
-//! mode (engine + interpreter cross-check).  This is the user-facing
-//! counterpart of E13: the same statements a REPL user types, timed
-//! end-to-end through parse, type-check and execution.
+//! E14: an OrQL session script replayed under the session's execution
+//! modes — the user-facing counterpart of E13: the same statements a REPL
+//! user types, timed end-to-end through parse, type-check and execution.
+//! Registers the legs of every e14 entry of the engine-bench workload
+//! table as `workload/leg`, plus the engine-checked differential mode
+//! (engine + interpreter cross-check), which no table entry times.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
-use or_bench::experiments::{e14_replay, e14_session, hardware_workers};
+use or_bench::experiments::{
+    e14_replay, e14_session, Experiment, Prepared, ENGINE_WORKLOADS, LEGS,
+};
 use or_engine::ExecConfig;
 use or_lang::session::ExecMode;
+
+/// Driving-relation scale of the session bindings.
+const SCALE: usize = 4_000;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e14_session_engine_first");
@@ -19,26 +24,18 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_millis(500));
 
-    let scale = 4_000usize;
-    let par = ExecConfig::default().with_workers(hardware_workers());
+    for workload in ENGINE_WORKLOADS
+        .iter()
+        .filter(|w| w.experiment == Experiment::E14)
+    {
+        let Prepared { legs, .. } = (workload.setup)(SCALE);
+        for (name, mut leg) in LEGS.into_iter().zip(legs) {
+            group.bench_function(format!("{}/{name}", workload.name), |b| b.iter(&mut leg));
+        }
+    }
 
-    let mut interp = e14_session(ExecMode::Interp, ExecConfig::default(), scale);
-    group.bench_function("session/interp", |b| b.iter(|| e14_replay(&mut interp)));
-
-    let mut engine_seq = e14_session(ExecMode::Engine, ExecConfig::default(), scale);
-    group.bench_function("session/engine_seq", |b| {
-        b.iter(|| e14_replay(&mut engine_seq))
-    });
-
-    let mut engine_par = e14_session(ExecMode::Engine, par, scale);
-    group.bench_function("session/engine_par", |b| {
-        b.iter(|| e14_replay(&mut engine_par))
-    });
-
-    let mut checked = e14_session(ExecMode::EngineChecked, par, scale);
-    group.bench_function("session/engine_checked", |b| {
-        b.iter(|| e14_replay(&mut checked))
-    });
+    let mut checked = e14_session(ExecMode::EngineChecked, ExecConfig::from_env(), SCALE);
+    group.bench_function("engine_checked", |b| b.iter(|| e14_replay(&mut checked)));
 
     group.finish();
 }

@@ -11,13 +11,14 @@
 //! cargo run --release -p or-bench --bin experiments -- --workers 4 e13
 //! ```
 //!
-//! Running `e13` (alone or as part of the full suite) additionally measures
-//! the e14 session replay and writes `BENCH_engine.json` — the
-//! machine-readable engine-vs-interpreter measurements (engine workloads
-//! *and* the session replay) tracked across PRs.  `e14` alone prints the
-//! session table without touching the file.  Every reported number is the
-//! **median of 5 timed runs** after one discarded warmup run (the per-row
-//! `runs` field records this).
+//! Running `e13` (alone or as part of the full suite) measures every entry
+//! of the engine-bench workload table (`experiments::ENGINE_WORKLOADS`:
+//! the engine workloads *and* the e14 session replays) and writes
+//! `BENCH_engine.json` — the machine-readable engine-vs-interpreter
+//! measurements tracked across PRs.  `e14` alone prints the session
+//! entries without touching the file.  Every reported number is the
+//! **median of `TIMED_RUNS` timed runs** after one discarded warmup run
+//! (the per-row `runs` field records the count).
 //!
 //! `--workers N` (equivalently the `OR_ENGINE_WORKERS` environment
 //! variable) overrides the worker count of the parallel benchmark legs in
@@ -81,9 +82,16 @@ fn all() -> Vec<Experiment> {
                 Ok(()) => eprintln!("wrote BENCH_engine.json"),
                 Err(e) => eprintln!("could not write BENCH_engine.json: {e}"),
             }
-            experiments::e13_table_from_rows(&rows)
+            experiments::engine_table(experiments::Experiment::E13, &rows)
         }),
-        ("e14", || experiments::e14_session_engine_first(E13_SCALE)),
+        ("e14", || {
+            let rows: Vec<_> = experiments::ENGINE_WORKLOADS
+                .iter()
+                .filter(|w| w.experiment == experiments::Experiment::E14)
+                .map(|w| experiments::measure(w, E13_SCALE))
+                .collect();
+            experiments::engine_table(experiments::Experiment::E14, &rows)
+        }),
         ("e15", || experiments::e15_concurrent_replay(E13_SCALE)),
     ]
 }
@@ -167,7 +175,8 @@ fn check_regression(args: &[String]) -> i32 {
     }
     eprintln!("measuring fresh e13+e14 rows (scale {E13_SCALE})...");
     let fresh = experiments::engine_bench_rows(E13_SCALE);
-    println!("{}", experiments::e13_table_from_rows(&fresh));
+    let table = experiments::engine_table(experiments::Experiment::E13, &fresh);
+    println!("{table}");
     let verdicts = experiments::check_regression(&baseline, &fresh, max_slowdown);
     let mut failed = false;
     for v in &verdicts {

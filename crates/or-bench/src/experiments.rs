@@ -1,13 +1,16 @@
 //! The experiment suite: one function per experiment (E1–E12 reproduce the
-//! paper's claims; E13 measures the physical engine against the
-//! interpreter; E14 replays an OrQL session script under the session's
-//! three execution modes).
+//! paper's claims; E15 replays sessions concurrently).  E13 and E14 — the
+//! physical engine and engine-first OrQL sessions against the interpreter —
+//! are the entries of one workload table, [`ENGINE_WORKLOADS`], which
+//! [`measure`] turns into `BENCH_engine.json` rows.
 //!
 //! Each function runs the workload at moderate, laptop-friendly sizes and
 //! returns a [`Table`] of the quantities the paper's corresponding claim is
 //! about.  The Criterion benches in `benches/` time the same code paths; the
 //! `experiments` binary prints these tables.
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::time::Instant;
 
 use or_db::Workload;
@@ -20,6 +23,7 @@ use or_nra::expand::{expand_normalize, expand_normalize_innermost};
 use or_nra::lazy::LazyNormalizer;
 use or_nra::morphism::Morphism as M;
 use or_nra::normalize::{normalize_value_typed, possibility_count, RewriteStrategy};
+use or_nra::physical::PhysicalPlan;
 use or_nra::prelude::eval;
 use or_nra::preserve::{is_lossless_on, lossless_preconditions, preserve};
 use or_object::alpha::{alpha_antichain, alpha_set, beta_antichain};
@@ -758,77 +762,46 @@ pub fn hardware_workers() -> usize {
 
 /// Timed repetitions behind every reported benchmark number: each
 /// measurement is the median of this many runs after one discarded warmup.
-/// Deliberately **even**: the paired seq/par measurement (`timed_pair`)
-/// alternates which leg runs first per round, and an even count gives
-/// each leg the first slot in exactly half the rounds — with an odd count
-/// one leg is measured in the (observably slower) second position more
-/// often than the other, which biases the gated `par_over_seq` ratio.
+/// Deliberately **even**: `timed_legs` alternates which of two paired
+/// legs runs first per round, and an even count gives each leg the first
+/// slot in exactly half the rounds — with an odd count one leg is measured
+/// in the (observably slower) second position more often than the other,
+/// which biases the gated `par_over_seq` ratio.
 pub const TIMED_RUNS: usize = 6;
 
-/// Run `f` once as a discarded warmup (allocator, page faults, lazily
-/// built caches), then [`TIMED_RUNS`] more times, and report the
-/// **median** wall time.  The median is robust against scheduler jitter in
-/// both directions — a single descheduled run cannot flake the CI gate the
-/// way best-of-N let one lucky run set an unrepeatable baseline.
-fn timed<T>(mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut out = f(); // warmup, timing discarded
-    let mut times = [0.0f64; TIMED_RUNS];
-    for slot in times.iter_mut() {
-        let start = Instant::now();
-        let result = f();
-        *slot = start.elapsed().as_secs_f64() * 1e3;
-        // drop the previous iteration's result outside the timed window:
-        // freeing last round's output is not part of the measured work
-        out = result;
-    }
-    times.sort_unstable_by(|a, b| a.total_cmp(b));
-    (out, times[TIMED_RUNS / 2])
-}
-
-/// Like [`timed`], but for **paired** legs whose *ratio* is the reported
-/// statistic — the sequential vs parallel engine legs.  The two legs'
-/// timed runs are interleaved in **ABBA order** (round 0 runs A then B,
-/// round 1 runs B then A, …) rather than measured in two separate blocks:
-/// machine drift — frequency scaling, a noisy neighbor, a CPU-quota
-/// period on a shared box — then lands on both legs and both *positions
-/// within a round* equally, instead of systematically penalizing
-/// whichever leg ran last.  Each leg reports the median of its own
-/// [`TIMED_RUNS`] runs after one discarded warmup apiece.
-fn timed_pair<A, B>(mut fa: impl FnMut() -> A, mut fb: impl FnMut() -> B) -> ((A, f64), (B, f64)) {
-    let mut out_a = fa(); // warmups, timing discarded
-    let mut out_b = fb();
-    let mut times_a = [0.0f64; TIMED_RUNS];
-    let mut times_b = [0.0f64; TIMED_RUNS];
-    {
-        // scope the closures' borrows of `out_a`/`out_b` to the loop
-        let mut run_a = |slot: &mut f64| {
+/// Time `N` legs against each other; return each leg's last run and its
+/// **median** wall time (ms).
+///
+/// Every leg first runs once as a discarded warmup (allocator, page
+/// faults, lazily built caches).  Then come [`TIMED_RUNS`] rounds; round
+/// `i` runs every leg once, starting at leg `i mod N`.  With one leg this
+/// is a plain median of runs.  With two it is **ABBA order** (A B, B A, …):
+/// machine drift — frequency scaling, a noisy neighbor, a CPU-quota period
+/// on a shared box — then lands on both legs and both positions within a
+/// round equally, instead of penalizing whichever leg ran last.  The median
+/// is robust against scheduler jitter in both directions, where best-of-N
+/// let one lucky run set an unrepeatable baseline.
+fn timed_legs<const N: usize>(mut legs: [&mut Leg; N]) -> [(Run, f64); N] {
+    let mut last: [Run; N] = std::array::from_fn(|k| legs[k]()); // warmups
+    let mut times = [[0.0f64; N]; TIMED_RUNS];
+    for (round, round_times) in times.iter_mut().enumerate() {
+        for offset in 0..N {
+            let k = (round + offset) % N;
             let start = Instant::now();
-            let a = fa();
-            *slot = start.elapsed().as_secs_f64() * 1e3;
-            out_a = a; // drop the previous result outside the timed window
-        };
-        let mut run_b = |slot: &mut f64| {
-            let start = Instant::now();
-            let b = fb();
-            *slot = start.elapsed().as_secs_f64() * 1e3;
-            out_b = b;
-        };
-        for i in 0..TIMED_RUNS {
-            if i % 2 == 0 {
-                run_a(&mut times_a[i]);
-                run_b(&mut times_b[i]);
-            } else {
-                run_b(&mut times_b[i]);
-                run_a(&mut times_a[i]);
-            }
+            let run = legs[k]();
+            round_times[k] = start.elapsed().as_secs_f64() * 1e3;
+            // drop the previous run's result outside the timed window:
+            // freeing last round's output is not part of the measured work
+            last[k] = run;
         }
     }
-    times_a.sort_unstable_by(|a, b| a.total_cmp(b));
-    times_b.sort_unstable_by(|a, b| a.total_cmp(b));
-    (
-        (out_a, times_a[TIMED_RUNS / 2]),
-        (out_b, times_b[TIMED_RUNS / 2]),
-    )
+    let mut last = last.into_iter();
+    std::array::from_fn(|k| {
+        let mut leg_times = times.map(|round_times| round_times[k]);
+        leg_times.sort_unstable_by(f64::total_cmp);
+        let run = last.next().expect("one run per leg");
+        (run, leg_times[TIMED_RUNS / 2])
+    })
 }
 
 /// The e13 relation of `(id, cost)` records.
@@ -973,177 +946,6 @@ pub fn e13_planned_query(limit: i64) -> M {
     e13_expand_query().then(or_nra::derived::select(keep))
 }
 
-/// Measure one `relation × query` workload: interpreter, sequential engine,
-/// and parallel engine (the parallel leg reports the worker count the
-/// executor **actually used**, via [`or_engine::ExecStats`] — not the
-/// hardware thread count the config asked for).
-fn measure_workload(name: &str, relation: &or_db::Relation, query: &M) -> EngineBenchRow {
-    use or_engine::{run_plan, run_plan_with_stats, ExecConfig};
-    use or_nra::optimize::lower;
-
-    let available = hardware_workers();
-    let seq = ExecConfig::default();
-    let par = ExecConfig::from_env();
-    let plan = lower(query).expect("workload query is lowerable");
-    let (interp, interp_ms) = timed(|| relation.query(query).expect("interpreter"));
-    // the seq and par legs interleave: par_over_seq is the gated statistic,
-    // so machine drift must not land on one leg only
-    let ((eng_seq, engine_seq_ms), ((eng_par, stats), engine_par_ms)) = timed_pair(
-        || run_plan(&plan, &[relation], seq).expect("engine sequential"),
-        || run_plan_with_stats(&plan, &[relation], par).expect("engine parallel"),
-    );
-    EngineBenchRow {
-        workload: name.to_string(),
-        rows: relation.len(),
-        interp_ms,
-        engine_seq_ms,
-        engine_par_ms,
-        workers: stats.workers,
-        available_parallelism: available,
-        runs: TIMED_RUNS,
-        equal: interp == eng_seq && eng_seq == eng_par,
-    }
-}
-
-/// Measure a workload through the **expand planner**
-/// ([`or_engine::run_plan_optimized`]): the sequential leg runs the
-/// unoptimized plan (the "before"), the parallel leg runs the planned plan
-/// at the planner's recommended worker count (the "after").
-fn measure_planned_workload(name: &str, relation: &or_db::Relation, query: &M) -> EngineBenchRow {
-    use or_engine::{run_plan, run_plan_optimized, ExecConfig};
-    use or_nra::optimize::lower;
-
-    let available = hardware_workers();
-    let seq = ExecConfig::default();
-    let par = ExecConfig::from_env();
-    let plan = lower(query).expect("workload query is lowerable");
-    let (interp, interp_ms) = timed(|| relation.query(query).expect("interpreter"));
-    let ((eng_seq, engine_seq_ms), ((eng_par, stats), engine_par_ms)) = timed_pair(
-        || run_plan(&plan, &[relation], seq).expect("engine sequential"),
-        || {
-            let (value, stats, _) =
-                run_plan_optimized(&plan, &[relation], par).expect("engine planned");
-            (value, stats)
-        },
-    );
-    EngineBenchRow {
-        workload: name.to_string(),
-        rows: relation.len(),
-        interp_ms,
-        engine_seq_ms,
-        engine_par_ms,
-        workers: stats.workers,
-        available_parallelism: available,
-        runs: TIMED_RUNS,
-        equal: interp == eng_seq && eng_seq == eng_par,
-    }
-}
-
-/// Run the engine-vs-interpreter comparison at the given driving-relation
-/// scale and return the measured rows.
-pub fn e13_engine_rows(scale: usize) -> Vec<EngineBenchRow> {
-    let mut out = vec![
-        // 1. partitioned scan: filter + project over (id, cost) records
-        measure_workload(
-            "scan_filter_project",
-            &priced_relation(scale),
-            &e13_scan_query(),
-        ),
-        // 1b. columnar filter + project over wide six-column records: the
-        // selective predicate (~5%) reads one column and the projection
-        // gathers two — the late-materialization showcase
-        measure_workload(
-            "columnar_filter_project",
-            &wide_relation(scale),
-            &columnar_filter_project_query(),
-        ),
-        // 2. or-expand: stream every complete instance of every record
-        measure_workload(
-            "or_expand",
-            &alternatives_relation(scale / 4),
-            &e13_expand_query(),
-        ),
-        // 2b. high-fanout or-expand: 32 possible worlds per row
-        measure_workload(
-            "or_expand_fanout8",
-            &fanout_relation(scale / 16),
-            &e13_expand_query(),
-        ),
-    ];
-
-    // 2c. expand-then-filter through the expand planner: the filter reads
-    // only the or-free id field, so the planner pushes it below the
-    // expansion (selectivity 25%)
-    {
-        let rows = scale / 16;
-        out.push(measure_planned_workload(
-            "or_expand_planned",
-            &fanout_relation(rows),
-            &e13_planned_query(rows as i64 / 4),
-        ));
-    }
-
-    // 3. equi-join of (id, group) against (group, tag)
-    {
-        use or_engine::{run_plan, run_plan_with_stats, ExecConfig};
-        use or_nra::physical::PhysicalPlan;
-
-        let available = hardware_workers();
-        let seq = ExecConfig::default();
-        let par = ExecConfig::from_env();
-        let left_schema = or_db::Schema::new([
-            or_db::Field::new("id", Type::Int),
-            or_db::Field::new("grp", Type::Int),
-        ])
-        .expect("schema");
-        let groups = 40i64;
-        // full scale (not scale/4): the join must clear the executor's
-        // min_parallel_rows threshold so the parallel leg really runs
-        // multi-worker and the row exercises morsel stealing
-        let left = or_db::Relation::from_records(
-            "users",
-            left_schema,
-            (0..scale as i64).map(|i| Value::pair(Value::Int(i), Value::Int(i % groups))),
-        )
-        .expect("records");
-        let right_schema = or_db::Schema::new([
-            or_db::Field::new("grp", Type::Int),
-            or_db::Field::new("tag", Type::Int),
-        ])
-        .expect("schema");
-        let right = or_db::Relation::from_records(
-            "groups",
-            right_schema,
-            (0..groups).map(|g| Value::pair(Value::Int(g), Value::Int(g * 11))),
-        )
-        .expect("records");
-        let predicate = M::pair(M::Proj1.then(M::Proj2), M::Proj2.then(M::Proj1)).then(M::Eq);
-        let plan = PhysicalPlan::scan(0).join(PhysicalPlan::scan(1), predicate.clone());
-        let pair_value = Value::pair(left.to_value(), right.to_value());
-        let interp_query =
-            or_nra::derived::cartesian_product().then(or_nra::derived::select(predicate));
-        let (interp, interp_ms) =
-            timed(|| eval(&interp_query, &pair_value).expect("interpreter join"));
-        let (eng_seq, engine_seq_ms) =
-            timed(|| run_plan(&plan, &[&left, &right], seq).expect("engine sequential"));
-        let ((eng_par, stats), engine_par_ms) =
-            timed(|| run_plan_with_stats(&plan, &[&left, &right], par).expect("engine parallel"));
-        out.push(EngineBenchRow {
-            workload: "equi_join".to_string(),
-            rows: left.len(),
-            interp_ms,
-            engine_seq_ms,
-            engine_par_ms,
-            workers: stats.workers,
-            available_parallelism: available,
-            runs: TIMED_RUNS,
-            equal: interp == eng_seq && eng_seq == eng_par,
-        });
-    }
-
-    out
-}
-
 // ---------------------------------------------------------------------------
 // E14: engine-first sessions — Interp vs Engine vs EngineChecked
 // ---------------------------------------------------------------------------
@@ -1220,136 +1022,436 @@ pub fn e14_replay(session: &mut or_lang::Session) -> Vec<Value> {
         .collect()
 }
 
-/// E14: replay [`E14_SCRIPT`] under `Interp`, engine-first `Engine`
-/// (sequential and parallel) and `EngineChecked`, and report the comparison
-/// in the `BENCH_engine.json` row format.  `engine_seq_ms`/`engine_par_ms`
-/// are the engine-first replays with 1 and all hardware workers; the
-/// `EngineChecked` replay contributes to the `equal` flag (it re-runs every
-/// engine statement on the interpreter internally and errors on mismatch).
-pub fn e14_session_rows(scale: usize) -> Vec<EngineBenchRow> {
+// ---------------------------------------------------------------------------
+// The engine-bench workload table: every BENCH_engine.json row
+// ---------------------------------------------------------------------------
+
+/// One run of a workload leg.
+pub struct Run {
+    /// What the run computed; the three legs' answers must agree for the
+    /// row's `equal` flag.
+    pub(crate) answer: Vec<Value>,
+    /// Engine workers the run actually used (1 for the interpreter).
+    pub(crate) workers: usize,
+}
+
+impl Run {
+    fn value(value: Value, workers: usize) -> Run {
+        Run {
+            answer: vec![value],
+            workers,
+        }
+    }
+}
+
+/// One leg of a workload, called once per warmup and timed round.
+pub type Leg = Box<dyn FnMut() -> Run>;
+
+/// A workload's contract beyond agreeing answers (say, "the engine served
+/// every plannable statement"), checked after timing against the last run
+/// of each leg.  `Err` explains the breach; it clears the row's `equal`.
+pub(crate) type Check = Box<dyn FnOnce(&[Run; 3]) -> Result<(), String>>;
+
+/// Leg names in [`Prepared::legs`] order.
+pub const LEGS: [&str; 3] = ["interp", "seq", "par"];
+
+/// The plans a workload's engine legs execute, as `or-analyze
+/// verify-plans` checks them.
+#[derive(Debug)]
+pub enum BenchPlans {
+    /// One physical plan; input slot `i` reads rows of `row_types[i]`.
+    Plan {
+        /// The interpreter query the plan answers, for reports.
+        query: String,
+        /// The plan the engine legs run.
+        plan: PhysicalPlan,
+        /// Row type of each input slot.
+        row_types: Vec<Type>,
+    },
+    /// OrQL statements, planned by a session holding `bindings`.
+    Statements {
+        /// The session's relations.
+        bindings: Vec<(&'static str, Value)>,
+        /// The statements, in replay order.
+        statements: &'static [&'static str],
+    },
+}
+
+/// A workload set up at one scale.
+pub struct Prepared {
+    /// Rows in the driving relation.
+    pub(crate) rows: usize,
+    /// The interpreter leg, the sequential engine leg (the "before") and
+    /// the parallel engine leg (the "after"), named by [`LEGS`].  The
+    /// parallel leg's worker count is the row's `workers`.
+    pub legs: [Leg; 3],
+    /// The workload's extra contract, if it has one.
+    pub(crate) check: Option<Check>,
+    /// The plans to verify, if the workload has them.
+    pub plans: Option<BenchPlans>,
+}
+
+/// Which experiment table prints a workload's row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Experiment {
+    /// E13: engine workloads over relations.
+    E13,
+    /// E14: OrQL session replays.
+    E14,
+}
+
+impl Experiment {
+    /// The experiment's table title.
+    pub fn title(self) -> &'static str {
+        match self {
+            Experiment::E13 => "E13: physical engine vs interpreter (or-engine)",
+            Experiment::E14 => {
+                "E14: engine-first OrQL sessions (Interp vs Engine vs EngineChecked)"
+            }
+        }
+    }
+}
+
+/// One entry of [`ENGINE_WORKLOADS`].
+pub struct BenchWorkload {
+    /// The `BENCH_engine.json` workload name.
+    pub name: &'static str,
+    /// The experiment whose table prints the row.
+    pub experiment: Experiment,
+    /// Build the legs for a driving-relation scale.
+    pub setup: fn(usize) -> Prepared,
+}
+
+/// The engine benchmark: one entry per `BENCH_engine.json` row, in row
+/// order.  The `experiments` binary measures it, the `e13`/`e14` criterion
+/// benches register its legs, and `or-analyze verify-plans` checks its
+/// plans; adding a workload means adding an entry here.
+pub const ENGINE_WORKLOADS: &[BenchWorkload] = &[
+    // filter + project over (id, cost) records
+    BenchWorkload {
+        name: "scan_filter_project",
+        experiment: Experiment::E13,
+        setup: |scale| query_workload(priced_relation(scale), e13_scan_query(), false),
+    },
+    // the selective predicate (~5%) reads one column of six and the
+    // projection gathers two: the late-materialization showcase
+    BenchWorkload {
+        name: "columnar_filter_project",
+        experiment: Experiment::E13,
+        setup: |scale| query_workload(wide_relation(scale), columnar_filter_project_query(), false),
+    },
+    // stream every complete instance of every record
+    BenchWorkload {
+        name: "or_expand",
+        experiment: Experiment::E13,
+        setup: |scale| query_workload(alternatives_relation(scale / 4), e13_expand_query(), false),
+    },
+    // high-fanout expansion: 32 possible worlds per row
+    BenchWorkload {
+        name: "or_expand_fanout8",
+        experiment: Experiment::E13,
+        setup: |scale| query_workload(fanout_relation(scale / 16), e13_expand_query(), false),
+    },
+    // expand-then-filter, the parallel leg through the expand planner: the
+    // filter reads only the or-free id field, so the planner pushes it
+    // below the expansion (selectivity 25%)
+    BenchWorkload {
+        name: "or_expand_planned",
+        experiment: Experiment::E13,
+        setup: |scale| {
+            let rows = scale / 16;
+            query_workload(
+                fanout_relation(rows),
+                e13_planned_query(rows as i64 / 4),
+                true,
+            )
+        },
+    },
+    BenchWorkload {
+        name: "equi_join",
+        experiment: Experiment::E13,
+        setup: equi_join,
+    },
+    BenchWorkload {
+        name: "session_engine_first",
+        experiment: Experiment::E14,
+        setup: session_engine_first,
+    },
+    BenchWorkload {
+        name: "session_plan_cache",
+        experiment: Experiment::E14,
+        setup: session_plan_cache,
+    },
+];
+
+/// Legs over relation inputs: `interp` is the interpreter leg; the engine
+/// legs run `plan` (slot `i` scans `inputs[i]`), the parallel one through
+/// the expand planner ([`or_engine::run_plan_optimized`]) when `planner`
+/// is set.
+fn plan_workload(
+    inputs: Vec<or_db::Relation>,
+    plan: PhysicalPlan,
+    planner: bool,
+    query: String,
+    mut interp: impl FnMut(&[or_db::Relation]) -> Value + 'static,
+) -> Prepared {
+    use or_engine::{run_plan_optimized, run_plan_with_stats, ExecConfig};
+
+    let rows = inputs[0].len();
+    let row_types = inputs.iter().map(|r| r.schema().record_type()).collect();
+    let inputs: Rc<[or_db::Relation]> = inputs.into();
+    let engine = |config: ExecConfig, planner: bool| -> Leg {
+        let (inputs, plan) = (Rc::clone(&inputs), plan.clone());
+        Box::new(move || {
+            let relations: Vec<&or_db::Relation> = inputs.iter().collect();
+            let (value, stats) = if planner {
+                let (value, stats, _) =
+                    run_plan_optimized(&plan, &relations, config).expect("engine planned");
+                (value, stats)
+            } else {
+                run_plan_with_stats(&plan, &relations, config).expect("engine")
+            };
+            Run::value(value, stats.workers)
+        })
+    };
+    let legs: [Leg; 3] = [
+        {
+            let inputs = Rc::clone(&inputs);
+            Box::new(move || Run::value(interp(&inputs), 1))
+        },
+        engine(ExecConfig::default(), false),
+        engine(ExecConfig::from_env(), planner),
+    ];
+    Prepared {
+        rows,
+        legs,
+        check: None,
+        plans: Some(BenchPlans::Plan {
+            query,
+            plan,
+            row_types,
+        }),
+    }
+}
+
+/// A [`plan_workload`] over one relation, planned by lowering `query`.
+fn query_workload(relation: or_db::Relation, query: M, planner: bool) -> Prepared {
+    let plan = or_nra::optimize::lower(&query).expect("workload query is lowerable");
+    let text = query.to_string();
+    plan_workload(vec![relation], plan, planner, text, move |inputs| {
+        inputs[0].query(&query).expect("interpreter")
+    })
+}
+
+/// Equi-join of `users (id, grp)` against `groups (grp, tag)`: the
+/// interpreter filters the cartesian product, the engine takes its hash
+/// join fast path.  `users` has `scale` rows (not `scale / 4`): the join
+/// must clear the executor's `min_parallel_rows` threshold so the parallel
+/// leg really runs multi-worker and the row exercises morsel stealing.
+fn equi_join(scale: usize) -> Prepared {
+    use or_nra::derived::{cartesian_product, select};
+
+    let groups = 40i64;
+    let relation = |name, fields: [&str; 2], rows: Vec<Value>| {
+        let schema = or_db::Schema::new(fields.map(|f| or_db::Field::new(f, Type::Int)))
+            .expect("schema is well-formed");
+        or_db::Relation::from_records(name, schema, rows).expect("records match the schema")
+    };
+    let users = relation(
+        "users",
+        ["id", "grp"],
+        (0..scale as i64)
+            .map(|i| Value::pair(Value::Int(i), Value::Int(i % groups)))
+            .collect(),
+    );
+    let tags = relation(
+        "groups",
+        ["grp", "tag"],
+        (0..groups)
+            .map(|g| Value::pair(Value::Int(g), Value::Int(g * 11)))
+            .collect(),
+    );
+    let predicate = M::pair(M::Proj1.then(M::Proj2), M::Proj2.then(M::Proj1)).then(M::Eq);
+    let plan = PhysicalPlan::scan(0).join(PhysicalPlan::scan(1), predicate.clone());
+    let query = cartesian_product().then(select(predicate));
+    let text = query.to_string();
+    let both = Value::pair(users.to_value(), tags.to_value());
+    plan_workload(vec![users, tags], plan, false, text, move |_| {
+        eval(&query, &both).expect("interpreter join")
+    })
+}
+
+/// A leg replaying [`E14_SCRIPT`] on a session of its own.
+fn replay_leg(mut session: or_lang::Session, workers: usize) -> Leg {
+    Box::new(move || Run {
+        answer: e14_replay(&mut session),
+        workers,
+    })
+}
+
+/// A leg replaying [`E14_SCRIPT`] on a session its workload's check also
+/// reads.
+fn shared_replay_leg(session: &Rc<RefCell<or_lang::Session>>, workers: usize) -> Leg {
+    let session = Rc::clone(session);
+    Box::new(move || Run {
+        answer: e14_replay(&mut session.borrow_mut()),
+        workers,
+    })
+}
+
+/// E14: replay [`E14_SCRIPT`] under `Interp` and engine-first `Engine` with
+/// one and with all workers.  The contract: the engine served the
+/// plannable statements, and an `EngineChecked` replay — which re-runs
+/// every engine statement on the interpreter and errors on a mismatch —
+/// agrees.
+fn session_engine_first(scale: usize) -> Prepared {
     use or_engine::ExecConfig;
     use or_lang::ExecMode;
 
-    let available = hardware_workers();
     let par = ExecConfig::from_env();
-    let mut interp = e14_session(ExecMode::Interp, ExecConfig::default(), scale);
-    let mut engine_seq = e14_session(ExecMode::Engine, ExecConfig::default(), scale);
-    let mut engine_par = e14_session(ExecMode::Engine, par, scale);
+    let interp = e14_session(ExecMode::Interp, ExecConfig::default(), scale);
+    let engine_seq = e14_session(ExecMode::Engine, ExecConfig::default(), scale);
+    let engine_par = Rc::new(RefCell::new(e14_session(ExecMode::Engine, par, scale)));
     let mut checked = e14_session(ExecMode::EngineChecked, par, scale);
-    let (interp_values, interp_ms) = timed(|| e14_replay(&mut interp));
-    let ((seq_values, engine_seq_ms), (par_values, engine_par_ms)) = timed_pair(
-        || e14_replay(&mut engine_seq),
-        || e14_replay(&mut engine_par),
-    );
-    // the checked replay is the differential leg: engine + interpreter with
-    // a per-statement comparison (a mismatch errors out of the replay)
-    let checked_values = e14_replay(&mut checked);
-    // If a plannable statement silently fell back, the "engine" legs are no
-    // longer measuring the engine — fail the row (the regression checker
-    // reports it as a failed cross-check) instead of panicking the binary.
-    let stats = engine_par.engine_stats();
-    let engine_served = stats.engine >= 5;
-    if !engine_served {
-        eprintln!("e14: plannable statements fell back to the interpreter: {stats:?}");
-    }
-    let equal = engine_served
-        && interp_values == seq_values
-        && seq_values == par_values
-        && par_values == checked_values;
-    vec![EngineBenchRow {
-        workload: "session_engine_first".to_string(),
+    let legs = [
+        replay_leg(interp, 1),
+        replay_leg(engine_seq, 1),
+        // sessions do not expose per-statement executor stats, so this is
+        // the configured worker cap, not a measured per-query count
+        shared_replay_leg(&engine_par, par.workers),
+    ];
+    let check: Check = Box::new(move |runs| {
+        // a plannable statement that silently fell back would leave the
+        // "engine" legs measuring the interpreter
+        let stats = engine_par.borrow().engine_stats();
+        if stats.engine < 5 {
+            return Err(format!(
+                "plannable statements fell back to the interpreter: {stats:?}"
+            ));
+        }
+        if e14_replay(&mut checked) != runs[2].answer {
+            return Err("the EngineChecked replay disagreed".to_string());
+        }
+        Ok(())
+    });
+    Prepared {
         rows: scale,
+        legs,
+        check: Some(check),
+        plans: Some(BenchPlans::Statements {
+            bindings: e14_bindings(scale),
+            statements: E14_SCRIPT,
+        }),
+    }
+}
+
+/// E14b: the statement-shape plan cache, cold against warm.  The **cold**
+/// leg (the "before") replays [`E14_SCRIPT`] on a brand-new engine-first
+/// session per run, so every plannable statement pays the full parse →
+/// lower → optimize → verify pipeline; the **warm** leg (the "after")
+/// replays on one primed session, so every plannable statement is a cache
+/// hit.  `par_over_seq` therefore reads as warm over cold.  The contract:
+/// cold replays only miss, warm replays only hit.  Its plans are
+/// `session_engine_first`'s.
+fn session_plan_cache(scale: usize) -> Prepared {
+    use or_engine::ExecConfig;
+    use or_lang::ExecMode;
+
+    let engine = move || e14_session(ExecMode::Engine, ExecConfig::default(), scale);
+    // `normalize(design)` falls back to the interpreter in every mode; the
+    // other statements are engine-served and cache-tracked
+    let plannable = (E14_SCRIPT.len() - 1) as u64;
+    let interp = e14_session(ExecMode::Interp, ExecConfig::default(), scale);
+    // one pre-built session per cold run (a warmup plus TIMED_RUNS rounds),
+    // so the measurement is the replay alone, never the relation binding;
+    // a run past them (criterion iterates far more often) pays the build
+    let mut cold_sessions: Vec<_> = (0..=TIMED_RUNS).map(|_| engine()).collect();
+    let cold_counts = Rc::new(Cell::new((0, 0)));
+    let mut warm = engine();
+    let primed = e14_replay(&mut warm);
+    let misses_after_priming = warm.engine_stats().plan_cache_misses;
+    let warm = Rc::new(RefCell::new(warm));
+    let legs: [Leg; 3] = [
+        replay_leg(interp, 1),
+        {
+            let cold_counts = Rc::clone(&cold_counts);
+            Box::new(move || {
+                let mut session = cold_sessions.pop().unwrap_or_else(engine);
+                let answer = e14_replay(&mut session);
+                let stats = session.engine_stats();
+                cold_counts.set((stats.plan_cache_misses, stats.plan_cache_hits));
+                Run { answer, workers: 1 }
+            })
+        },
+        // both legs run the sequential executor: the measured contrast is
+        // compile-and-verify against a cache hit, not parallelism
+        shared_replay_leg(&warm, 1),
+    ];
+    let check: Check = Box::new(move |runs| {
+        let (cold_misses, cold_hits) = cold_counts.get();
+        let warm_stats = warm.borrow().engine_stats();
+        let behaved = cold_misses == plannable
+            && cold_hits == 0
+            && misses_after_priming == plannable
+            && warm_stats.plan_cache_misses == plannable
+            && warm_stats.plan_cache_hits == plannable * (TIMED_RUNS as u64 + 1);
+        if !behaved {
+            return Err(format!(
+                "plan cache misbehaved: cold {cold_misses} miss(es)/{cold_hits} hit(s), \
+                 warm {warm_stats:?}"
+            ));
+        }
+        if primed != runs[2].answer {
+            return Err("the priming replay disagreed with the warm replays".to_string());
+        }
+        Ok(())
+    });
+    Prepared {
+        rows: scale,
+        legs,
+        check: Some(check),
+        plans: None,
+    }
+}
+
+/// Measure one workload at `scale`: the interpreter leg on its own, then
+/// the two engine legs ABBA-paired by `timed_legs`.
+pub fn measure(workload: &BenchWorkload, scale: usize) -> EngineBenchRow {
+    let Prepared {
+        rows,
+        legs: [mut interp, mut seq, mut par],
+        check,
+        ..
+    } = (workload.setup)(scale);
+    // The interpreter leg is not interleaved with the engine legs: right
+    // after an interpreter run has churned the caches, short engine legs
+    // measured 36–45% slower.
+    let [(interp_run, interp_ms)] = timed_legs([&mut interp]);
+    let [(seq_run, engine_seq_ms), (par_run, engine_par_ms)] = timed_legs([&mut seq, &mut par]);
+    let runs = [interp_run, seq_run, par_run];
+    let contract = check.map_or(Ok(()), |check| check(&runs));
+    if let Err(breach) = &contract {
+        eprintln!("{}: {breach}", workload.name);
+    }
+    EngineBenchRow {
+        workload: workload.name.to_string(),
+        rows,
         interp_ms,
         engine_seq_ms,
         engine_par_ms,
-        // sessions do not expose per-statement executor stats, so this is
-        // the configured worker cap of the parallel legs, not a measured
-        // per-query count as in the e13 rows
-        workers: par.workers,
-        available_parallelism: available,
+        workers: runs[2].workers,
+        available_parallelism: hardware_workers(),
         runs: TIMED_RUNS,
-        equal,
-    }]
-}
-
-/// E14b: the statement-shape plan cache, measured cold vs warm.  The
-/// **cold** leg (`engine_seq_ms`) replays [`E14_SCRIPT`] on a brand-new
-/// engine-first session per timed round, so every plannable statement pays
-/// the full parse → lower → optimize → verify pipeline; the **warm** leg
-/// (`engine_par_ms`) replays against one primed session, so every
-/// plannable statement is served from the statement-shape cache.
-/// `par_over_seq` therefore reads as warm-over-cold, and the row's `equal`
-/// flag also folds in the cache contract: a cold replay only misses, warm
-/// replays only hit.
-pub fn e14_plan_cache_rows(scale: usize) -> Vec<EngineBenchRow> {
-    use or_engine::ExecConfig;
-    use or_lang::ExecMode;
-
-    let available = hardware_workers();
-    // `normalize(design)` falls back to the interpreter in every mode;
-    // the other statements are engine-served and cache-tracked
-    let plannable = (E14_SCRIPT.len() - 1) as u64;
-    let mut interp = e14_session(ExecMode::Interp, ExecConfig::default(), scale);
-    let (interp_values, interp_ms) = timed(|| e14_replay(&mut interp));
-
-    // cold leg: sessions are pre-built outside the timed window ([`timed`]
-    // runs one discarded warmup plus TIMED_RUNS rounds, hence the +1), so
-    // the measurement is the replay alone, never the relation binding
-    let mut cold_sessions: Vec<_> = (0..=TIMED_RUNS)
-        .map(|_| e14_session(ExecMode::Engine, ExecConfig::default(), scale))
-        .collect();
-    let ((cold_values, cold_misses, cold_hits), cold_ms) = timed(|| {
-        let mut session = cold_sessions.pop().expect("one session per timed round");
-        let values = e14_replay(&mut session);
-        let stats = session.engine_stats();
-        (values, stats.plan_cache_misses, stats.plan_cache_hits)
-    });
-
-    // warm leg: one session, primed once, then every timed replay hits
-    let mut warm = e14_session(ExecMode::Engine, ExecConfig::default(), scale);
-    let primed_values = e14_replay(&mut warm);
-    let misses_after_priming = warm.engine_stats().plan_cache_misses;
-    let (warm_values, warm_ms) = timed(|| e14_replay(&mut warm));
-    let warm_stats = warm.engine_stats();
-
-    let cache_behaved = cold_misses == plannable
-        && cold_hits == 0
-        && misses_after_priming == plannable
-        && warm_stats.plan_cache_misses == plannable
-        && warm_stats.plan_cache_hits == plannable * (TIMED_RUNS as u64 + 1);
-    if !cache_behaved {
-        eprintln!(
-            "e14b: plan cache misbehaved: cold {cold_misses} miss(es)/{cold_hits} hit(s), \
-             warm {warm_stats:?}"
-        );
+        equal: contract.is_ok()
+            && runs[0].answer == runs[1].answer
+            && runs[1].answer == runs[2].answer,
     }
-    let equal = cache_behaved
-        && interp_values == cold_values
-        && cold_values == primed_values
-        && primed_values == warm_values;
-    vec![EngineBenchRow {
-        workload: "session_plan_cache".to_string(),
-        rows: scale,
-        interp_ms,
-        engine_seq_ms: cold_ms,
-        engine_par_ms: warm_ms,
-        // both legs run the sequential executor: the measured contrast is
-        // compile-and-verify vs cache hit, not parallelism
-        workers: 1,
-        available_parallelism: available,
-        runs: TIMED_RUNS,
-        equal,
-    }]
 }
 
-/// The full engine benchmark: the e13 workloads plus the e14 session
-/// replays (engine-first and plan-cache) — everything that lands in
+/// Measure every [`ENGINE_WORKLOADS`] entry: the rows of
 /// `BENCH_engine.json`.
 pub fn engine_bench_rows(scale: usize) -> Vec<EngineBenchRow> {
-    let mut rows = e13_engine_rows(scale);
-    rows.extend(e14_session_rows(scale));
-    rows.extend(e14_plan_cache_rows(scale));
-    rows
+    ENGINE_WORKLOADS.iter().map(|w| measure(w, scale)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1676,10 +1778,11 @@ pub fn readme_perf_table(baseline: &[BaselineRow]) -> String {
     out
 }
 
-/// Render measured engine rows as a comparison table under `title`.
-fn engine_table(title: &str, rows: &[EngineBenchRow]) -> Table {
+/// Render measured engine rows as a comparison table under the
+/// experiment's title.
+pub fn engine_table(experiment: Experiment, rows: &[EngineBenchRow]) -> Table {
     let mut table = Table::new(
-        title,
+        experiment.title(),
         &[
             "workload",
             "rows",
@@ -1706,30 +1809,6 @@ fn engine_table(title: &str, rows: &[EngineBenchRow]) -> Table {
         ]);
     }
     table
-}
-
-/// Render measured engine rows as the E13 table.
-pub fn e13_table_from_rows(rows: &[EngineBenchRow]) -> Table {
-    engine_table("E13: physical engine vs interpreter (or-engine)", rows)
-}
-
-/// Render measured session-replay rows as the E14 table.
-pub fn e14_table_from_rows(rows: &[EngineBenchRow]) -> Table {
-    engine_table(
-        "E14: engine-first OrQL sessions (Interp vs Engine vs EngineChecked)",
-        rows,
-    )
-}
-
-/// E13: the streaming parallel engine against the tree-walking interpreter
-/// on the partitioned-scan, or-expand and equi-join workloads.
-pub fn e13_engine_vs_interp(scale: usize) -> Table {
-    e13_table_from_rows(&e13_engine_rows(scale))
-}
-
-/// E14: the engine-first session replay.
-pub fn e14_session_engine_first(scale: usize) -> Table {
-    e14_table_from_rows(&e14_session_rows(scale))
 }
 
 // ---------------------------------------------------------------------------
@@ -2002,7 +2081,11 @@ mod tests {
     #[test]
     fn e13_measures_all_workloads_and_agrees_with_the_interpreter() {
         // tiny scale: correctness of the harness, not perf
-        let rows = e13_engine_rows(160);
+        let rows: Vec<_> = ENGINE_WORKLOADS
+            .iter()
+            .filter(|w| w.experiment == Experiment::E13)
+            .map(|w| measure(w, 160))
+            .collect();
         let names: Vec<&str> = rows.iter().map(|r| r.workload.as_str()).collect();
         assert_eq!(
             names,
@@ -2019,6 +2102,37 @@ mod tests {
             assert!(r.equal, "{} disagreed with the interpreter", r.workload);
             assert!(r.workers >= 1, "{} reported zero workers", r.workload);
         }
+    }
+
+    #[test]
+    fn timed_legs_warm_up_then_rotate_the_leading_leg() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let leg = |k: i64| -> Leg {
+            let log = Rc::clone(&log);
+            Box::new(move || {
+                log.borrow_mut().push(k);
+                Run::value(Value::Int(k), 1)
+            })
+        };
+        let (mut a, mut b) = (leg(0), leg(1));
+        let [(run_a, ms_a), (run_b, ms_b)] = timed_legs([&mut a, &mut b]);
+        // one warmup each, then ABBA rounds
+        assert_eq!(*log.borrow(), [0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0]);
+        assert_eq!(run_a.answer, [Value::Int(0)]);
+        assert_eq!(run_b.answer, [Value::Int(1)]);
+        assert!(ms_a >= 0.0 && ms_b >= 0.0);
+        // one leg: a warmup and TIMED_RUNS runs
+        log.borrow_mut().clear();
+        let _ = timed_legs([&mut a]);
+        assert_eq!(log.borrow().len(), 1 + TIMED_RUNS);
+    }
+
+    #[test]
+    fn the_workload_table_lists_the_committed_bench_rows_in_order() {
+        let committed = parse_engine_bench(include_str!("../../../BENCH_engine.json"));
+        let committed: Vec<&str> = committed.iter().map(|b| b.workload.as_str()).collect();
+        let table: Vec<&str> = ENGINE_WORKLOADS.iter().map(|w| w.name).collect();
+        assert_eq!(table, committed);
     }
 
     #[test]
@@ -2040,7 +2154,11 @@ mod tests {
     #[test]
     fn e14_plan_cache_row_hits_after_priming() {
         // tiny scale: correctness of the harness, not perf
-        let rows = e14_plan_cache_rows(64);
+        let rows: Vec<_> = ENGINE_WORKLOADS
+            .iter()
+            .filter(|w| w.name == "session_plan_cache")
+            .map(|w| measure(w, 64))
+            .collect();
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.workload, "session_plan_cache");
@@ -2346,7 +2464,11 @@ mod tests {
     #[test]
     fn e14_session_replay_agrees_across_modes() {
         // tiny scale: correctness of the harness, not perf
-        let rows = e14_session_rows(64);
+        let rows: Vec<_> = ENGINE_WORKLOADS
+            .iter()
+            .filter(|w| w.name == "session_engine_first")
+            .map(|w| measure(w, 64))
+            .collect();
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.workload, "session_engine_first");

@@ -22,11 +22,35 @@
 //! qualifiers ::= qualifier (',' qualifier)*
 //! qualifier  ::= IDENT '<-' expr | expr
 //! ```
+//!
+//! An expression may be at most [`MAX_EXPR_DEPTH`] deep, both as a tree
+//! and as source nesting (parentheses count).  A chain `1 + 1 + … + 1` is
+//! as deep as it is long, and each qualifier of a comprehension counts one
+//! level, since it scopes over the rest (as in the comprehension's
+//! translation to the algebra); the elements of a literal and the
+//! arguments of a call sit side by side.  Every later pass — type
+//! inference, compilation, plan verification, evaluation, even dropping
+//! the tree — recurses over it, so a deeper statement is refused here
+//! rather than allowed to overflow a thread's stack, which aborts the
+//! whole process.
 
 use std::fmt;
 
 use crate::ast::{BinOp, Builtin, Expr, Qualifier};
 use crate::lexer::{tokenize, LexError, Token};
+
+/// The deepest expression the parser accepts (see the module docs).
+///
+/// Chosen by measurement on a 2 MiB thread (a server connection thread's
+/// default stack): parse, type inference, interpreter and engine
+/// evaluation and drop of 25 expression shapes — chains, parentheses,
+/// `!`, pairs, `let`, `if`, sets, or-sets, calls, flat and nested
+/// comprehensions.  The tightest is the engine route in a debug build,
+/// where plan verification recurses over the compiled morphisms: nested
+/// comprehensions with a guard overflow from depth 24, flat
+/// comprehensions from 43 generators.  Release builds overflow no
+/// measured shape below 280 levels.
+pub const MAX_EXPR_DEPTH: usize = 16;
 
 /// A parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,9 +84,8 @@ impl From<LexError> for ParseError {
 
 /// Parse a complete expression from source text.
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let expr = parser.expr()?;
+    let mut parser = Parser::new(tokenize(src)?);
+    let expr = parser.expr()?.expr;
     parser.expect(Token::Eof)?;
     Ok(expr)
 }
@@ -78,8 +101,7 @@ pub enum Statement {
 
 /// Parse a REPL statement.
 pub fn parse_statement(src: &str) -> Result<Statement, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser::new(tokenize(src)?);
     // try `let x = expr <eof>` first
     if parser.peek() == &Token::Let {
         let save = parser.pos;
@@ -88,7 +110,7 @@ pub fn parse_statement(src: &str) -> Result<Statement, ParseError> {
             parser.advance();
             if parser.peek() == &Token::Assign {
                 parser.advance();
-                let value = parser.expr()?;
+                let value = parser.expr()?.expr;
                 if parser.peek() == &Token::Eof {
                     return Ok(Statement::Bind(name, value));
                 }
@@ -96,17 +118,40 @@ pub fn parse_statement(src: &str) -> Result<Statement, ParseError> {
         }
         parser.pos = save;
     }
-    let expr = parser.expr()?;
+    let expr = parser.expr()?.expr;
     parser.expect(Token::Eof)?;
     Ok(Statement::Expr(expr))
+}
+
+/// A parsed expression and its height: the nodes on its longest
+/// root-to-leaf path.
+struct Node {
+    expr: Expr,
+    height: usize,
+}
+
+impl Node {
+    fn leaf(expr: Expr) -> Node {
+        Node { expr, height: 1 }
+    }
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Expressions open at `pos` (the source nesting depth).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn peek(&self) -> &Token {
         self.tokens.get(self.pos).unwrap_or(&Token::Eof)
     }
@@ -142,7 +187,53 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    /// `expr` over children of the given heights.
+    fn node(
+        &self,
+        expr: Expr,
+        children: impl IntoIterator<Item = usize>,
+    ) -> Result<Node, ParseError> {
+        self.checked(expr, 1 + children.into_iter().max().unwrap_or(0))
+    }
+
+    /// `expr` at `height`, refused past [`MAX_EXPR_DEPTH`].
+    fn checked(&self, expr: Expr, height: usize) -> Result<Node, ParseError> {
+        if height > MAX_EXPR_DEPTH {
+            return self.error(format!("expression deeper than {MAX_EXPR_DEPTH} levels"));
+        }
+        Ok(Node { expr, height })
+    }
+
+    fn binop(&self, op: BinOp, lhs: Node, rhs: Node) -> Result<Node, ParseError> {
+        let heights = [lhs.height, rhs.height];
+        self.node(
+            Expr::BinOp(op, Box::new(lhs.expr), Box::new(rhs.expr)),
+            heights,
+        )
+    }
+
+    /// Run `parse` one source nesting level deeper, refused past
+    /// [`MAX_EXPR_DEPTH`] before it recurses.
+    fn deeper(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Node, ParseError>,
+    ) -> Result<Node, ParseError> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return self.error(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            ));
+        }
+        self.depth += 1;
+        let node = parse(self);
+        self.depth -= 1;
+        node
+    }
+
+    fn expr(&mut self) -> Result<Node, ParseError> {
+        self.deeper(Self::let_if_or)
+    }
+
+    fn let_if_or(&mut self) -> Result<Node, ParseError> {
         match self.peek() {
             Token::Let => {
                 self.advance();
@@ -154,11 +245,13 @@ impl Parser {
                 let value = self.expr()?;
                 self.expect(Token::In)?;
                 let body = self.expr()?;
-                Ok(Expr::Let {
+                let heights = [value.height, body.height];
+                let expr = Expr::Let {
                     name,
-                    value: Box::new(value),
-                    body: Box::new(body),
-                })
+                    value: Box::new(value.expr),
+                    body: Box::new(body.expr),
+                };
+                self.node(expr, heights)
             }
             Token::If => {
                 self.advance();
@@ -167,35 +260,37 @@ impl Parser {
                 let then_branch = self.expr()?;
                 self.expect(Token::Else)?;
                 let else_branch = self.expr()?;
-                Ok(Expr::If {
-                    cond: Box::new(cond),
-                    then_branch: Box::new(then_branch),
-                    else_branch: Box::new(else_branch),
-                })
+                let heights = [cond.height, then_branch.height, else_branch.height];
+                let expr = Expr::If {
+                    cond: Box::new(cond.expr),
+                    then_branch: Box::new(then_branch.expr),
+                    else_branch: Box::new(else_branch.expr),
+                };
+                self.node(expr, heights)
             }
             _ => self.or_expr(),
         }
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
+    fn or_expr(&mut self) -> Result<Node, ParseError> {
         let mut lhs = self.and_expr()?;
         while self.eat(&Token::OrOr) {
             let rhs = self.and_expr()?;
-            lhs = Expr::BinOp(BinOp::Or, Box::new(lhs), Box::new(rhs));
+            lhs = self.binop(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
+    fn and_expr(&mut self) -> Result<Node, ParseError> {
         let mut lhs = self.cmp_expr()?;
         while self.eat(&Token::AndAnd) {
             let rhs = self.cmp_expr()?;
-            lhs = Expr::BinOp(BinOp::And, Box::new(lhs), Box::new(rhs));
+            lhs = self.binop(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
+    fn cmp_expr(&mut self) -> Result<Node, ParseError> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             Token::Eq => Some(BinOp::Eq),
@@ -210,51 +305,53 @@ impl Parser {
             Some(op) => {
                 self.advance();
                 let rhs = self.add_expr()?;
-                Ok(Expr::BinOp(op, Box::new(lhs), Box::new(rhs)))
+                self.binop(op, lhs, rhs)
             }
             None => Ok(lhs),
         }
     }
 
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
+    fn add_expr(&mut self) -> Result<Node, ParseError> {
         let mut lhs = self.mul_expr()?;
         loop {
-            if self.eat(&Token::Plus) {
-                let rhs = self.mul_expr()?;
-                lhs = Expr::BinOp(BinOp::Add, Box::new(lhs), Box::new(rhs));
+            let op = if self.eat(&Token::Plus) {
+                BinOp::Add
             } else if self.eat(&Token::Minus) {
-                let rhs = self.mul_expr()?;
-                lhs = Expr::BinOp(BinOp::Sub, Box::new(lhs), Box::new(rhs));
+                BinOp::Sub
             } else {
                 return Ok(lhs);
-            }
+            };
+            let rhs = self.mul_expr()?;
+            lhs = self.binop(op, lhs, rhs)?;
         }
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+    fn mul_expr(&mut self) -> Result<Node, ParseError> {
         let mut lhs = self.unary()?;
         while self.eat(&Token::Star) {
             let rhs = self.unary()?;
-            lhs = Expr::BinOp(BinOp::Mul, Box::new(lhs), Box::new(rhs));
+            lhs = self.binop(BinOp::Mul, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<Node, ParseError> {
         if self.eat(&Token::Bang) {
-            Ok(Expr::Not(Box::new(self.unary()?)))
+            let operand = self.deeper(Self::unary)?;
+            let height = operand.height;
+            self.node(Expr::Not(Box::new(operand.expr)), [height])
         } else {
             self.atom()
         }
     }
 
-    fn atom(&mut self) -> Result<Expr, ParseError> {
+    fn atom(&mut self) -> Result<Node, ParseError> {
         match self.advance() {
-            Token::Int(i) => Ok(Expr::Int(i)),
-            Token::Str(s) => Ok(Expr::Str(s)),
-            Token::True => Ok(Expr::Bool(true)),
-            Token::False => Ok(Expr::Bool(false)),
-            Token::Unit => Ok(Expr::Unit),
+            Token::Int(i) => Ok(Node::leaf(Expr::Int(i))),
+            Token::Str(s) => Ok(Node::leaf(Expr::Str(s))),
+            Token::True => Ok(Node::leaf(Expr::Bool(true))),
+            Token::False => Ok(Node::leaf(Expr::Bool(false))),
+            Token::Unit => Ok(Node::leaf(Expr::Unit)),
             Token::Ident(name) => {
                 if self.peek() == &Token::LParen {
                     let builtin = match Builtin::by_name(&name) {
@@ -270,7 +367,7 @@ impl Parser {
                         }
                     };
                     self.advance(); // '('
-                    let mut args = Vec::new();
+                    let mut args: Vec<Node> = Vec::new();
                     if self.peek() != &Token::RParen {
                         args.push(self.expr()?);
                         while self.eat(&Token::Comma) {
@@ -286,9 +383,11 @@ impl Parser {
                             args.len()
                         ));
                     }
-                    Ok(Expr::Call(builtin, args))
+                    let heights: Vec<usize> = args.iter().map(|a| a.height).collect();
+                    let args = args.into_iter().map(|a| a.expr).collect();
+                    self.node(Expr::Call(builtin, args), heights)
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok(Node::leaf(Expr::Var(name)))
                 }
             }
             Token::LParen => {
@@ -296,7 +395,9 @@ impl Parser {
                 if self.eat(&Token::Comma) {
                     let second = self.expr()?;
                     self.expect(Token::RParen)?;
-                    Ok(Expr::Pair(Box::new(first), Box::new(second)))
+                    let heights = [first.height, second.height];
+                    let pair = Expr::Pair(Box::new(first.expr), Box::new(second.expr));
+                    self.node(pair, heights)
                 } else {
                     self.expect(Token::RParen)?;
                     Ok(first)
@@ -310,65 +411,78 @@ impl Parser {
 
     /// Parse the inside of `{ … }` or `<| … |>`: either a literal list of
     /// elements or a comprehension.
-    fn collection(&mut self, closing: Token, is_set: bool) -> Result<Expr, ParseError> {
+    fn collection(&mut self, closing: Token, is_set: bool) -> Result<Node, ParseError> {
         // empty collection
         if self.eat(&closing) {
-            return Ok(if is_set {
+            return Ok(Node::leaf(if is_set {
                 Expr::SetLit(Vec::new())
             } else {
                 Expr::OrSetLit(Vec::new())
-            });
+            }));
         }
         let first = self.expr()?;
         if self.eat(&Token::Bar) {
-            let qualifiers = self.qualifiers()?;
+            let (qualifiers, heights) = self.qualifiers()?;
             self.expect(closing)?;
-            return Ok(if is_set {
-                Expr::SetComp {
-                    head: Box::new(first),
-                    qualifiers,
-                }
+            // each qualifier scopes over the rest and the head, as in the
+            // comprehension's translation to the algebra: one level each
+            let height = heights
+                .iter()
+                .rev()
+                .fold(first.height, |inner, &h| 1 + inner.max(h));
+            let head = Box::new(first.expr);
+            let expr = if is_set {
+                Expr::SetComp { head, qualifiers }
             } else {
-                Expr::OrSetComp {
-                    head: Box::new(first),
-                    qualifiers,
-                }
-            });
+                Expr::OrSetComp { head, qualifiers }
+            };
+            return self.checked(expr, height);
         }
-        let mut items = vec![first];
+        let mut height = first.height;
+        let mut items = vec![first.expr];
         while self.eat(&Token::Comma) {
-            items.push(self.expr()?);
+            let item = self.expr()?;
+            height = height.max(item.height);
+            items.push(item.expr);
         }
         self.expect(closing)?;
-        Ok(if is_set {
+        let expr = if is_set {
             Expr::SetLit(items)
         } else {
             Expr::OrSetLit(items)
-        })
+        };
+        self.node(expr, [height])
     }
 
-    fn qualifiers(&mut self) -> Result<Vec<Qualifier>, ParseError> {
+    /// The qualifiers of a comprehension, with the height of each one's
+    /// expression.
+    fn qualifiers(&mut self) -> Result<(Vec<Qualifier>, Vec<usize>), ParseError> {
         let mut out = Vec::new();
+        let mut heights = Vec::new();
         loop {
             // generator: IDENT '<-' expr
-            if let Token::Ident(name) = self.peek().clone() {
-                if self.tokens.get(self.pos + 1) == Some(&Token::Arrow) {
+            let generator = match (self.peek(), self.tokens.get(self.pos + 1)) {
+                (Token::Ident(name), Some(Token::Arrow)) => Some(name.clone()),
+                _ => None,
+            };
+            let qualifier = match generator {
+                Some(name) => {
                     self.advance();
                     self.advance();
                     let source = self.expr()?;
-                    out.push(Qualifier::Generator(name, source));
-                    if self.eat(&Token::Comma) {
-                        continue;
-                    }
-                    return Ok(out);
+                    heights.push(source.height);
+                    Qualifier::Generator(name, source.expr)
                 }
+                None => {
+                    let guard = self.expr()?;
+                    heights.push(guard.height);
+                    Qualifier::Guard(guard.expr)
+                }
+            };
+            out.push(qualifier);
+            if !self.eat(&Token::Comma) {
+                return Ok((out, heights));
             }
-            let guard = self.expr()?;
-            out.push(Qualifier::Guard(guard));
-            if self.eat(&Token::Comma) {
-                continue;
-            }
-            return Ok(out);
         }
     }
 }
@@ -462,5 +576,41 @@ mod tests {
             parse_statement("1 + 2").unwrap(),
             Statement::Expr(_)
         ));
+    }
+
+    #[test]
+    fn deep_expressions_are_refused_before_they_overflow_the_stack() {
+        // each of these overflows a 2 MiB thread stack — in the parser or in
+        // a later pass over the tree — when it is not refused here
+        let parens = "(".repeat(10_000) + "1" + &")".repeat(10_000);
+        let nots = "!".repeat(10_000) + "true";
+        let chain = vec!["1"; 10_000].join("+");
+        let long_chain = vec!["1"; 100_000].join("+");
+        let lets = "let x = 1 in ".repeat(10_000) + "x";
+        for src in [&parens, &nots, &chain, &long_chain, &lets] {
+            let err = parse_statement(src).unwrap_err();
+            assert!(err.message.contains("deeper than"), "{err}");
+        }
+    }
+
+    #[test]
+    fn depth_counts_nesting_chains_and_qualifiers_but_not_elements() {
+        let chain = |terms: usize| vec!["1"; terms].join(" + ");
+        assert!(parse(&chain(MAX_EXPR_DEPTH)).is_ok());
+        assert!(parse(&chain(MAX_EXPR_DEPTH + 1)).is_err());
+        // the outermost expression is one level, each parenthesis another
+        let parens = |levels: usize| "(".repeat(levels) + "1" + &")".repeat(levels);
+        assert!(parse(&parens(MAX_EXPR_DEPTH - 1)).is_ok());
+        assert!(parse(&parens(MAX_EXPR_DEPTH)).is_err());
+        // literal elements sit side by side
+        let items: Vec<String> = (0..10_000).map(|i| i.to_string()).collect();
+        assert!(parse(&format!("{{{}}}", items.join(", "))).is_ok());
+        // each qualifier is a level: the head and k generators are k + 1
+        let generators = |k: usize| {
+            let rest: String = (1..k).map(|i| format!(", x{i} <- db")).collect();
+            format!("{{ x0 | x0 <- db{rest} }}")
+        };
+        assert!(parse(&generators(MAX_EXPR_DEPTH - 1)).is_ok());
+        assert!(parse(&generators(MAX_EXPR_DEPTH)).is_err());
     }
 }

@@ -3,12 +3,18 @@
 //! environment is offline, so `serde` is not an option).
 //!
 //! Decoding accepts any standard JSON document (objects, arrays, strings
-//! with escapes, integer and fractional numbers, `true`/`false`/`null`).
+//! with escapes, integer and fractional numbers, `true`/`false`/`null`)
+//! nested at most [`MAX_DEPTH`] deep, whose numbers are finite `f64`s.
 //! Encoding is driven through [`Json`] constructors plus its `Display`
 //! impl (`to_string()`); object member order is preserved, strings are
 //! escaped per RFC 8259.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`Json::parse`] accepts.  Request
+/// bodies are flat; the cap keeps a hostile body from recursing the parser
+/// off its thread's stack, which aborts the whole process.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +94,7 @@ impl Json {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -186,6 +193,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -222,8 +231,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -231,6 +240,24 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(JsonError::new("expected a JSON value", self.pos)),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(
+                format!("nested deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -378,9 +405,11 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
+        // `1e999` parses to infinity, which has no JSON encoding
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
             .and_then(|s| s.parse::<f64>().ok())
+            .filter(|n| n.is_finite())
             .map(Json::Num)
             .ok_or_else(|| JsonError::new("invalid number", start))
     }
@@ -427,6 +456,8 @@ mod tests {
             "\"unterminated",
             "nul",
             "{}extra",
+            "1e999",
+            "[-1e400]",
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should not parse");
         }
@@ -441,5 +472,21 @@ mod tests {
         assert_eq!(items.len(), 5);
         assert_eq!(items[0].as_bool(), Some(true));
         assert_eq!(items[3], Json::Num(-2.5));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_off_the_stack() {
+        // 10,000 levels would overflow a default 2 MiB thread stack, which
+        // aborts the process instead of failing the request
+        let deep = "[".repeat(10_000) + &"]".repeat(10_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        let deep_objects = "{\"a\":".repeat(10_000) + "1" + &"}".repeat(10_000);
+        assert!(Json::parse(&deep_objects).is_err());
+        // the cap itself still parses
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&past_cap).is_err());
     }
 }

@@ -522,4 +522,33 @@ mod tests {
         let (status, _) = query(&server.state, r#"{"statement": "1"}"#);
         assert_eq!(status, 400);
     }
+
+    #[test]
+    fn a_deeply_nested_body_is_a_400_not_a_crash() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let body = "[".repeat(10_000) + &"]".repeat(10_000);
+        let (status, response) = query(&server.state, &body);
+        assert_eq!(status, 400, "{response}");
+        assert!(response.contains("nested deeper"), "{response}");
+    }
+
+    #[test]
+    fn a_deep_statement_is_a_422_not_a_crash() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        server.load_db("d", "let db = { 1, 2, 3 }").unwrap();
+        let parens = "(".repeat(10_000) + "1" + &")".repeat(10_000);
+        let chain = vec!["1"; 10_000].join("+");
+        for statement in [parens, chain] {
+            let body = Json::obj([("db", Json::str("d")), ("statement", Json::str(statement))]);
+            let (status, response) = query(&server.state, &body.to_string());
+            assert_eq!(status, 422, "{response}");
+            assert!(response.contains("deeper than"), "{response}");
+        }
+        // the database still answers
+        let (status, _) = query(
+            &server.state,
+            r#"{"db": "d", "statement": "{ x | x <- db }"}"#,
+        );
+        assert_eq!(status, 200);
+    }
 }

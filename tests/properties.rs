@@ -774,3 +774,206 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// never-panic: the request-body JSON codec and the OrQL parser
+// ---------------------------------------------------------------------------
+
+/// Run `f` on a fresh thread with a 2 MiB stack — the default stack of the
+/// server's connection threads — so the depth caps are checked against
+/// the stack a request really gets.  A panic comes back as `Err`.
+fn on_server_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Result<T, String> {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn a checking thread")
+        .join()
+        .map_err(|panic| {
+            panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_else(|| "panicked".to_string())
+        })
+}
+
+/// A xorshift stream for building random text from one proptest seed.
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+
+    fn pick<'a>(&mut self, options: &[&'a str]) -> &'a str {
+        options[self.below(options.len())]
+    }
+}
+
+/// The characters the JSON-ish strings are drawn from.
+const JSON_ALPHABET: &[&str] = &[
+    "[", "]", "{", "}", "\"", ",", ":", "-", ".", "0", "1", "7", "9", "a", "e", "l", "n", "r", "s",
+    "t", "u", "z", "\\", " ", "\n", "\t",
+];
+
+/// Random JSON-ish text: mostly well-formed documents (nested arrays and
+/// objects, strings with escapes, numbers, literals, stray whitespace),
+/// now and then a stray character, so the parser's accepting and
+/// rejecting paths both run.
+fn jsonish(rng: &mut Xorshift, depth: usize, out: &mut String) {
+    out.push_str(rng.pick(&["", "", " ", "\n\t"]));
+    match rng.below(if depth == 0 { 5 } else { 7 }) {
+        0 => out.push_str(rng.pick(&["true", "false", "null"])),
+        1 => {
+            out.push_str(rng.pick(&["", "-"]));
+            out.push_str(rng.pick(&["0", "7", "19", "90210"]));
+            out.push_str(rng.pick(&["", "", ".5", ".25"]));
+            out.push_str(rng.pick(&["", "", "e7", "e-3", "e999"]));
+        }
+        2 => {
+            out.push('"');
+            for _ in 0..rng.below(6) {
+                out.push_str(rng.pick(&["a", "z", " ", ":", "[", "\\n", "\\\"", "\\u00e9"]));
+            }
+            out.push('"');
+        }
+        3 => out.push_str(rng.pick(JSON_ALPHABET)),
+        4 => out.push_str(rng.pick(&["0", "\"\"", "[]", "{}"])),
+        5 => {
+            out.push('[');
+            for i in 0..rng.below(4) {
+                if i > 0 {
+                    out.push(',');
+                }
+                jsonish(rng, depth - 1, out);
+            }
+            out.push(']');
+        }
+        _ => {
+            out.push('{');
+            for i in 0..rng.below(4) {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(rng.pick(&["\"k\":", "\"db\" :", "\"\":"]));
+                jsonish(rng, depth - 1, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// The tokens the OrQL strings are drawn from.
+const ORQL_TOKENS: &[&str] = &[
+    "let",
+    "in",
+    "if",
+    "then",
+    "else",
+    "x",
+    "db",
+    "1",
+    "42",
+    "true",
+    "false",
+    "unit",
+    "\"s\"",
+    "(",
+    ")",
+    "{",
+    "}",
+    "<|",
+    "|>",
+    "|",
+    "<-",
+    ",",
+    "+",
+    "-",
+    "*",
+    "!",
+    "&&",
+    "||",
+    "==",
+    "!=",
+    "<=",
+    "<",
+    ">=",
+    ">",
+    "=",
+    "fst",
+    "snd",
+    "normalize",
+    "union",
+    "member",
+    "@",
+    "\"",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        .. ProptestConfig::default()
+    })]
+
+    /// `Json::parse` never panics (nor overflows the stack) on strings over
+    /// a JSON-ish alphabet, long and deeply nested ones included.
+    #[test]
+    fn json_parse_never_panics_on_jsonish_strings(
+        chars in proptest::collection::vec(0usize..JSON_ALPHABET.len(), 0..400),
+        nesting in 0usize..=200,
+    ) {
+        let flat: String = chars.iter().map(|&c| JSON_ALPHABET[c]).collect();
+        let deep = "[".repeat(nesting * 50) + &flat + &"]".repeat(nesting * 50);
+        let outcome = on_server_stack(move || {
+            let _ = or_server::Json::parse(&flat);
+            let _ = or_server::Json::parse(&deep);
+        });
+        prop_assert!(outcome.is_ok(), "{:?}", outcome);
+    }
+
+    /// Every document `Json::parse` accepts re-encodes to text that parses
+    /// back to the same document.
+    #[test]
+    fn parsed_json_documents_round_trip(seed in any::<u64>(), depth in 0usize..=5, wrap in 0usize..=80) {
+        let mut rng = Xorshift(seed | 1);
+        let mut text = "[".repeat(wrap);
+        jsonish(&mut rng, depth, &mut text);
+        text.push_str(&"]".repeat(wrap));
+        let outcome = on_server_stack(move || match or_server::Json::parse(&text) {
+            Ok(doc) => {
+                let encoded = doc.to_string();
+                match or_server::Json::parse(&encoded) {
+                    Ok(back) if back == doc => Ok(()),
+                    other => Err(format!("{text} -> {encoded} -> {other:?}")),
+                }
+            }
+            Err(_) => Ok(()),
+        });
+        prop_assert_eq!(outcome, Ok(Ok(())));
+    }
+
+    /// `parse_statement` never panics (nor overflows the stack) on strings
+    /// over the OrQL token alphabet; what it accepts type-checks or fails
+    /// cleanly.
+    #[test]
+    fn orql_parse_never_panics_on_token_strings(
+        tokens in proptest::collection::vec(0usize..ORQL_TOKENS.len(), 0..300),
+        nesting in 0usize..=100,
+        opener in 0usize..3,
+    ) {
+        let body: Vec<&str> = tokens.iter().map(|&t| ORQL_TOKENS[t]).collect();
+        let deep = ["(", "!", "1 + "][opener].repeat(nesting * 100) + &body.join(" ");
+        let flat = body.join(" ");
+        let outcome = on_server_stack(move || {
+            for source in [flat, deep] {
+                if let Ok(or_lang::Statement::Expr(expr)) = or_lang::parse_statement(&source) {
+                    let _ = or_lang::infer_type(&expr, &Vec::new());
+                }
+            }
+        });
+        prop_assert!(outcome.is_ok(), "{:?}", outcome);
+    }
+}
